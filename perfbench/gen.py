@@ -165,3 +165,12 @@ QUERIES = [
     'where .val <= 0.5 and .kind == "cart" | select .id, .val, .ts',
 ]
 PROGRAMS = ["y.Id", "y.Kind", "y.Val"]
+
+
+def nested_program(base, depth):
+    """A client program of some size: `base` under `depth` nested
+    conditionals, each comparing and returning `base` itself."""
+    prog = base
+    for _ in range(depth):
+        prog = "if %s = %s then %s else (%s)" % (base, base, base, prog)
+    return prog
