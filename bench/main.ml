@@ -27,6 +27,15 @@ module P = Fsdata_core.Preference
 module Provide = Fsdata_provider.Provide
 module Typed = Fsdata_runtime.Typed
 module Ops = Fsdata_runtime.Ops
+module Diagnostic = Fsdata_data.Diagnostic
+
+(* Strict inference over a whitespace-separated JSON document stream,
+   through the one ingestion driver. *)
+let infer_stream ?chunk_size ?(jobs = 1) text =
+  Infer.run ?chunk_size ~jobs ~budget:Diagnostic.Strict Json (Infer.Stream text)
+  |> Result.map (fun r -> r.Infer.shape)
+
+let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
 (* ----- tiny driver around bechamel ----- *)
 
@@ -417,14 +426,13 @@ let stage_breakdown label f =
   r
 
 let par_bench () =
-  let module Par = Fsdata_core.Par_infer in
   print_endline "== par: sequential vs parallel multi-sample inference ==";
-  Printf.printf "   recommended domain count: %d%s\n%!" (Par.recommended_jobs ())
+  Printf.printf "   recommended domain count: %d%s\n%!" (recommended_jobs ())
     (if !smoke then "  (smoke mode: reduced corpus and iterations)" else "");
   let sizes = if !smoke then [ 2_000 ] else [ 10_000; 100_000 ] in
   let repeats = if !smoke then 1 else 3 in
   let jobs_list =
-    List.sort_uniq compare [ 2; 4; Par.recommended_jobs () ]
+    List.sort_uniq compare [ 2; 4; recommended_jobs () ]
     |> List.filter (fun j -> j > 1)
   in
   List.iter
@@ -445,7 +453,7 @@ let par_bench () =
         (fun jobs ->
           let par_shape, t_par =
             time_best ~repeats (fun () ->
-                Par.shape_of_samples ~mode:`Practical ~jobs samples)
+                Infer.shape_of_samples_par ~mode:`Practical ~jobs samples)
           in
           row
             (Printf.sprintf "infer --jobs %d" jobs)
@@ -460,7 +468,7 @@ let par_bench () =
          sequential fold. *)
       let text = Workloads.corpus_text n in
       let seq_stream, t_seq_stream =
-        time_best ~repeats (fun () -> Infer.of_json text)
+        time_best ~repeats (fun () -> infer_stream text)
       in
       row "parse+infer sequential" t_seq_stream None;
       let stream_row label result t =
@@ -474,13 +482,13 @@ let par_bench () =
       List.iter
         (fun jobs ->
           let fixed, t_fixed =
-            time_best ~repeats (fun () -> Par.of_json ~jobs ~chunk_size:512 text)
+            time_best ~repeats (fun () -> infer_stream ~jobs ~chunk_size:512 text)
           in
           stream_row
             (Printf.sprintf "parse+infer -j %d, 512/chunk" jobs)
             fixed t_fixed;
           let adaptive, t_adaptive =
-            time_best ~repeats (fun () -> Par.of_json ~jobs text)
+            time_best ~repeats (fun () -> infer_stream ~jobs text)
           in
           stream_row
             (Printf.sprintf "parse+infer -j %d, adaptive" jobs)
@@ -506,24 +514,22 @@ let par_bench () =
           ignore
             (stage_breakdown
                (Printf.sprintf "parse+infer --jobs %d, %d docs, adaptive" jobs n)
-               (fun () -> Par.of_json ~jobs text)))
+               (fun () -> infer_stream ~jobs text)))
     sizes;
   print_newline ()
 
 (* ----- faults: diagnostics overhead and recovering ingestion ----- *)
 
 (* Two questions, mirroring the robustness work:
-   1. What does threading structured diagnostics through the pipeline
-      cost when nothing goes wrong? (target: <= 3% on the clean path —
-      the tolerant driver with budget 0 vs the strict driver)
+   1. What does the driver's fault handling (recovering parse, isolation
+      boundary, budget check) cost when nothing goes wrong? (the strict
+      run vs the bare parse + fold of the same corpus)
    2. What does a corrupt document cost under a budget? (resync +
       quarantine vs the same corpus cleaned)
    In smoke mode the timings are incidental: the run asserts the
    agreement facts (clean-path shape identity, exact quarantine counts)
    and exits non-zero on violation, so `dune runtest` pins them. *)
 let faults_bench () =
-  let module Par = Fsdata_core.Par_infer in
-  let module Diagnostic = Fsdata_data.Diagnostic in
   print_endline "== faults: diagnostics overhead and recovering ingestion ==";
   let n = if !smoke then 2_000 else 50_000 in
   let stride = 50 in
@@ -535,27 +541,30 @@ let faults_bench () =
     Printf.eprintf "faults: smoke assertion failed: %s\n" msg;
     exit 1
   in
-  (* 1. the clean path: strict vs tolerant with the strict budget *)
-  let strict_shape, t_strict =
-    time_best ~repeats (fun () -> Infer.of_json clean)
+  let run ?chunk_size ~jobs ~budget text =
+    Infer.run ?chunk_size ~jobs ~budget Json (Infer.Stream text)
   in
-  let tol_report, t_tol =
+  (* 1. the clean path: the strict run vs the bare parse + fold *)
+  let bare_shape, t_bare =
     time_best ~repeats (fun () ->
-        Infer.of_json_tolerant ~budget:Diagnostic.Strict clean)
+        Infer.shape_of_samples (Fsdata_data.Json.parse_many clean))
   in
-  Printf.printf "  %6d docs: strict streaming infer        %8.1f ms\n%!" n
-    (t_strict *. 1e3);
-  Printf.printf "  %6d docs: tolerant, budget 0, clean     %8.1f ms  overhead %+5.1f%%\n%!"
-    n (t_tol *. 1e3)
-    ((t_tol -. t_strict) /. t_strict *. 100.);
+  let strict_report, t_strict =
+    time_best ~repeats (fun () -> run ~jobs:1 ~budget:Diagnostic.Strict clean)
+  in
+  Printf.printf "  %6d docs: parse_many + shape_of_samples %8.1f ms\n%!" n
+    (t_bare *. 1e3);
+  Printf.printf "  %6d docs: run, strict, clean            %8.1f ms  overhead %+5.1f%%\n%!"
+    n (t_strict *. 1e3)
+    ((t_strict -. t_bare) /. t_bare *. 100.);
   let clean_agree =
-    match (strict_shape, tol_report) with
-    | Ok s, Ok r -> Shape.equal s r.Fsdata_core.Infer.shape && r.quarantined = []
-    | _ -> false
+    match strict_report with
+    | Ok r -> Shape.equal bare_shape r.Infer.shape && r.Infer.quarantined = []
+    | Error _ -> false
   in
   Printf.printf "                clean-path agreement: %b\n%!" clean_agree;
   if !smoke && not clean_agree then
-    fail "tolerant(budget 0) disagrees with strict on a clean corpus";
+    fail "the strict run disagrees with shape_of_samples on a clean corpus";
   (* 2. a corrupt corpus under budget: resync + quarantine, seq and par *)
   let budget = Diagnostic.Percent 5.0 in
   let check label = function
@@ -567,7 +576,7 @@ let faults_bench () =
                (List.length r.quarantined) expected_faults)
   in
   let rep_seq, t_seq =
-    time_best ~repeats (fun () -> Infer.of_json_tolerant ~budget faulty)
+    time_best ~repeats (fun () -> run ~jobs:1 ~budget faulty)
   in
   check "sequential recovering" rep_seq;
   Printf.printf
@@ -578,7 +587,7 @@ let faults_bench () =
     (fun jobs ->
       let rep_par, t_par =
         time_best ~repeats (fun () ->
-            Par.of_json_tolerant ~jobs ~chunk_size:512 ~budget faulty)
+            run ~jobs ~chunk_size:512 ~budget faulty)
       in
       check (Printf.sprintf "parallel recovering (jobs %d)" jobs) rep_par;
       let agree =
@@ -594,13 +603,13 @@ let faults_bench () =
       Printf.printf
         "  %6d docs: tolerant, %d faults, -j %-2d   %8.1f ms  %5.2fx speedup, agree=%b\n%!"
         n expected_faults jobs (t_par *. 1e3) (t_seq /. t_par) agree)
-    (if !smoke then [ 2; 7 ] else [ 2; 4; Par.recommended_jobs () ]);
+    (if !smoke then [ 2; 7 ] else [ 2; 4; recommended_jobs () ]);
   ignore
     (stage_breakdown
        (Printf.sprintf "tolerant parse+infer -j 2, %d docs, %d faults" n
           expected_faults)
        (fun () ->
-         Par.of_json_tolerant ~jobs:2 ~chunk_size:512 ~budget faulty));
+         run ~jobs:2 ~chunk_size:512 ~budget faulty));
   print_newline ()
 
 (* ----- obs: observability overhead (B9) ----- *)
@@ -649,7 +658,7 @@ let obs_bench () =
       M.reset ();
       T.reset ();
       let t0 = Unix.gettimeofday () in
-      let r = Infer.of_json text in
+      let r = infer_stream text in
       let dt = Unix.gettimeofday () -. t0 in
       M.set_enabled false;
       T.set_enabled false;
@@ -703,7 +712,6 @@ let obs_bench () =
    it). The csh.merges / csh.top_label_saturations counters are read
    around one inference of each document to report saturation rates. *)
 let hetero_bench () =
-  let module Par = Fsdata_core.Par_infer in
   let module M = Fsdata_obs.Metrics in
   print_endline "== hetero: heterogeneous collections (Section 6.4) ==";
   let rows = if !smoke then 500 else 20_000 in
@@ -755,11 +763,11 @@ let hetero_bench () =
   let docs = if !smoke then 50 else 2_000 in
   let text = Workloads.hetero_corpus_text docs in
   let repeats = if !smoke then 1 else 3 in
-  let seq, t_seq = time_best ~repeats (fun () -> Infer.of_json text) in
+  let seq, t_seq = time_best ~repeats (fun () -> infer_stream text) in
   Printf.printf "  %6d worldbank docs: parse+infer sequential %8.1f ms\n%!"
     docs (t_seq *. 1e3);
   let par, t_par =
-    time_best ~repeats (fun () -> Par.of_json ~jobs:2 text)
+    time_best ~repeats (fun () -> infer_stream ~jobs:2 text)
   in
   let agree =
     match (seq, par) with Ok a, Ok b -> Shape.equal a b | _ -> false
@@ -1263,7 +1271,7 @@ let query_bench () =
   let repeats = 3 in
   let text = Workloads.query_corpus_text n in
   let sigma =
-    match Infer.of_json text with Ok s -> s | Error e -> fail e
+    match infer_stream text with Ok s -> s | Error e -> fail e
   in
   let parse q =
     match Q.Parser.parse_result q with Ok q -> q | Error e -> fail e

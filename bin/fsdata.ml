@@ -18,7 +18,6 @@
 
 open Cmdliner
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Shape = Fsdata_core.Shape
 module Preference = Fsdata_core.Preference
 module Provide = Fsdata_provider.Provide
@@ -64,7 +63,7 @@ let metrics_arg =
 (* Runs before the command body (cmdliner evaluates the term's
    arguments first). The writers are registered with [at_exit] so they
    fire on every exit path, in particular the quarantine
-   [Stdlib.exit 3] of {!finish_tolerant}. One callback handles both
+   [Stdlib.exit 3] of {!finish}. One callback handles both
    outputs so the [work] and [render] GC snapshots bracket trace
    serialization deterministically. *)
 let setup_obs trace metrics =
@@ -93,7 +92,7 @@ let setup_obs trace metrics =
 
 let obs_term = Term.(const setup_obs $ trace_arg $ metrics_arg)
 
-type format = Json | Xml | Csv
+type format = Diagnostic.format = Json | Xml | Csv
 
 let read_file path =
   let ic = open_in_bin path in
@@ -168,9 +167,6 @@ let jobs_arg =
            machine. Per-chunk shapes are merged with a balanced csh tree
            reduction, which is sound because csh is the least upper bound
            of Lemma 1; $(b,--jobs 1) forces the sequential fold.")
-
-(* 0 = the recommended domain count (Par_infer's own default). *)
-let effective_jobs jobs = if jobs <= 0 then Par_infer.recommended_jobs () else jobs
 
 let budget_conv =
   let parse s =
@@ -251,63 +247,34 @@ let compiled_applicable ~compiled ~format ~paths =
     | Ok _ -> Error "--compiled applies to JSON samples"
     | Error (`Msg m) -> Error m
 
-let infer_shape ?(csv_schema = "") ?(jobs = 1) format paths =
+(* Infer the samples' shape under [budget] (strict by default). A single
+   JSON sample file is a whitespace-separated document stream — so a
+   corrupt document costs one sample, not the file — unless [~stream:false]
+   asks for exactly one document; several files are one document each. *)
+let infer_report ?(csv_schema = "") ?mode ?(jobs = 1)
+    ?(budget = Diagnostic.Strict) ?(stream = true) format paths =
   match resolve_format format paths with
   | Error e -> Error e
   | Ok f -> (
-      let texts = read_files paths in
-      let result =
-        match f with
-        | Json -> Par_infer.of_json_samples ~jobs texts
-        | Xml -> Par_infer.of_xml_samples ~jobs texts
-        | Csv -> (
-            match texts with
-            | [ one ] -> Fsdata_core.Csv_schema.infer_csv ~schema:csv_schema one
-            | _ -> Error "csv: exactly one sample file is supported")
+      let source =
+        match (f, read_files paths) with
+        | Json, [ one ] when stream -> Infer.Stream one
+        | _, texts -> Infer.Samples texts
       in
-      match result with
-      | Ok shape -> Ok (f, shape)
-      | Error msg -> Error (`Msg msg))
-
-(* Fault-tolerant variant of {!infer_shape}: parse under an error budget,
-   returning the whole {!Infer.report} so the caller can surface the
-   quarantine. *)
-let infer_shape_tolerant ?(csv_schema = "") ?(jobs = 1) ?(mode = `Practical)
-    ~budget format paths =
-  match resolve_format format paths with
-  | Error e -> Error e
-  | Ok f -> (
-      let texts = read_files paths in
       let result =
-        match (f, texts) with
-        | Json, [ one ] ->
-            (* a single file may hold a whitespace-separated document
-               stream: ingest it through the recovering streaming driver,
-               so a corrupt document costs one sample, not the file *)
-            Par_infer.of_json_tolerant ~mode ~jobs ~budget one
-        | Json, _ -> Par_infer.of_json_samples_tolerant ~mode ~jobs ~budget texts
-        | Xml, _ -> Par_infer.of_xml_samples_tolerant ~jobs ~budget texts
-        | Csv, _ -> (
-            match texts with
-            | [ one ] -> (
-                match Infer.of_csv_tolerant ~budget one with
-                | Error _ as e -> e
-                | Ok report when csv_schema = "" -> Ok report
-                | Ok report -> (
-                    match Fsdata_core.Csv_schema.parse csv_schema with
-                    | Error _ as e -> e
-                    | Ok overrides -> (
-                        match
-                          Fsdata_core.Csv_schema.apply overrides
-                            report.Infer.shape
-                        with
-                        | Ok shape -> Ok { report with Infer.shape }
-                        | Error _ as e -> e)))
-            | _ -> Error "csv: exactly one sample file is supported")
+        match Infer.run ?mode ~jobs ~budget f source with
+        | Ok report when f = Csv ->
+            Fsdata_core.Csv_schema.override csv_schema report.Infer.shape
+            |> Result.map (fun shape -> { report with Infer.shape })
+        | result -> result
       in
       match result with
       | Ok report -> Ok (f, report)
       | Error msg -> Error (`Msg msg))
+
+let infer_shape ?csv_schema ?jobs ?stream format paths =
+  infer_report ?csv_schema ?jobs ?stream format paths
+  |> Result.map (fun (f, report) -> (f, report.Infer.shape))
 
 let format_extension = function Json -> ".json" | Xml -> ".xml" | Csv -> ".csv"
 
@@ -365,9 +332,9 @@ let write_quarantine ~dir ~format:f ~paths ~budget (report : Infer.report) =
   output_char oc '\n';
   close_out oc
 
-(* After a successful tolerant run: persist the quarantine if asked, then
-   exit 0 on a clean corpus or with the distinct quarantine code. *)
-let finish_tolerant ~quarantine ~format:f ~paths ~budget
+(* After a successful run: persist the quarantine if asked, then exit 0
+   on a clean corpus or with the distinct quarantine code. *)
+let finish ~quarantine ~format:f ~paths ?(budget = Diagnostic.Strict)
     (report : Infer.report) =
   (match quarantine with
   | Some dir -> write_quarantine ~dir ~format:f ~paths ~budget report
@@ -398,7 +365,6 @@ let infer_cmd =
   in
   let run () format global paper compiled csv_schema jobs max_errors quarantine
       paths =
-    let jobs = effective_jobs jobs in
     if quarantine <> None && max_errors = None then
       `Error (false, "--quarantine requires --max-errors")
     else if compiled && (global || paper) then
@@ -420,51 +386,28 @@ let infer_cmd =
             `Ok ()
         | Error m -> `Error (false, m)
     else
-      match max_errors with
-      | Some budget -> (
-          let mode = if paper then `Paper else `Practical in
-          let paper_ok =
-            if not paper then Ok ()
-            else
-              match resolve_format format paths with
-              | Ok Json -> Ok ()
-              | Ok _ -> Error "--paper applies to JSON samples"
-              | Error (`Msg m) -> Error m
-          in
-          match paper_ok with
-          | Error m -> `Error (false, m)
-          | Ok () -> (
-              match
-                infer_shape_tolerant ~csv_schema ~jobs ~mode ~budget format
-                  paths
-              with
-              | Error (`Msg m) -> `Error (false, m)
-              | Ok (f, report) ->
-                  Format.printf "%a@." Shape.pp report.Infer.shape;
-                  if compiled then
-                    compiled_reparse report.Infer.shape (read_files paths);
-                  finish_tolerant ~quarantine ~format:f ~paths ~budget report))
-      | None -> (
-          if paper then
-            match resolve_format format paths with
-            | Error (`Msg m) -> `Error (false, m)
-            | Ok Json -> (
-                match
-                  Par_infer.of_json_samples ~mode:`Paper ~jobs
-                    (List.map read_file paths)
-                with
-                | Ok shape ->
-                    Format.printf "%a@." Shape.pp shape;
-                    `Ok ()
-                | Error m -> `Error (false, m))
-            | Ok _ -> `Error (false, "--paper applies to JSON samples")
-          else
-            match infer_shape ~csv_schema ~jobs format paths with
-            | Ok (_, shape) ->
-                Format.printf "%a@." Shape.pp shape;
-                if compiled then compiled_reparse shape (read_files paths);
-                `Ok ()
-            | Error (`Msg m) -> `Error (false, m))
+      let paper_ok =
+        if not paper then Ok ()
+        else
+          match resolve_format format paths with
+          | Ok Json -> Ok ()
+          | Ok _ -> Error "--paper applies to JSON samples"
+          | Error (`Msg m) -> Error m
+      in
+      match paper_ok with
+      | Error m -> `Error (false, m)
+      | Ok () -> (
+          let mode = if paper then Some `Paper else None in
+          match
+            infer_report ~csv_schema ?mode ~jobs ?budget:max_errors format
+              paths
+          with
+          | Error (`Msg m) -> `Error (false, m)
+          | Ok (f, report) ->
+              Format.printf "%a@." Shape.pp report.Infer.shape;
+              if compiled then
+                compiled_reparse report.Infer.shape (read_files paths);
+              finish ~quarantine ~format:f ~paths ?budget:max_errors report)
   in
   Cmd.v
     (Cmd.info "infer" ~doc:"Infer the shape of sample documents (Figure 3).")
@@ -567,24 +510,13 @@ let codegen_cmd =
     if quarantine <> None && max_errors = None then
       `Error (false, "--quarantine requires --max-errors")
     else
-      match max_errors with
-      | Some budget -> (
-          match
-            infer_shape_tolerant ~csv_schema ~jobs:(effective_jobs jobs)
-              ~budget format paths
-          with
-          | Ok (f, report) ->
-              emit f report.Infer.shape;
-              finish_tolerant ~quarantine ~format:f ~paths ~budget report
-          | Error (`Msg m) -> `Error (false, m))
-      | None -> (
-          match
-            infer_shape ~csv_schema ~jobs:(effective_jobs jobs) format paths
-          with
-          | Ok (f, shape) ->
-              emit f shape;
-              `Ok ()
-          | Error (`Msg m) -> `Error (false, m))
+      match
+        infer_report ~csv_schema ~jobs ?budget:max_errors format paths
+      with
+      | Ok (f, report) ->
+          emit f report.Infer.shape;
+          finish ~quarantine ~format:f ~paths ?budget:max_errors report
+      | Error (`Msg m) -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "codegen"
@@ -615,7 +547,6 @@ let check_cmd =
              inferring it from sample files.")
   in
   let run () format shape compiled jobs input paths =
-    let jobs = effective_jobs jobs in
     let sample_shape =
       match shape with
       | Some text -> (
@@ -645,7 +576,11 @@ let check_cmd =
            malformed) documents exercise the per-document fallback, and
            the direct/fallback split lands in the compile.* metrics *)
         if compiled then compiled_reparse sample_shape [ read_file input ];
-        match infer_shape (match f with Some f -> Some f | None -> format) [ input ] with
+        match
+          infer_shape ~stream:false
+            (match f with Some f -> Some f | None -> format)
+            [ input ]
+        with
         | Error (`Msg m) -> `Error (false, m)
         | Ok (_, input_shape) ->
             if Preference.is_preferred input_shape sample_shape then begin
@@ -685,23 +620,11 @@ let schema_cmd =
     if quarantine <> None && max_errors = None then
       `Error (false, "--quarantine requires --max-errors")
     else
-      match max_errors with
-      | Some budget -> (
-          match
-            infer_shape_tolerant ~jobs:(effective_jobs jobs) ~budget format
-              paths
-          with
-          | Ok (f, report) ->
-              print_endline
-                (Fsdata_codegen.Json_schema.to_string report.Infer.shape);
-              finish_tolerant ~quarantine ~format:f ~paths ~budget report
-          | Error (`Msg m) -> `Error (false, m))
-      | None -> (
-          match infer_shape ~jobs:(effective_jobs jobs) format paths with
-          | Ok (_, shape) ->
-              print_endline (Fsdata_codegen.Json_schema.to_string shape);
-              `Ok ()
-          | Error (`Msg m) -> `Error (false, m))
+      match infer_report ~jobs ?budget:max_errors format paths with
+      | Ok (f, report) ->
+          print_endline (Fsdata_codegen.Json_schema.to_string report.Infer.shape);
+          finish ~quarantine ~format:f ~paths ?budget:max_errors report
+      | Error (`Msg m) -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "schema"
@@ -1133,8 +1056,11 @@ let query_cmd =
               with
               | Error e -> Error e
               | Ok src -> (
-                  match Fsdata_core.Infer.of_json src with
-                  | Ok s -> Ok (s, Some src)
+                  match
+                    Infer.run ~jobs:1 ~budget:Diagnostic.Strict Json
+                      (Infer.Stream src)
+                  with
+                  | Ok report -> Ok (report.Infer.shape, Some src)
                   | Error m -> Error (`Msg m)))
         in
         match sigma with

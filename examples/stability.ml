@@ -18,9 +18,15 @@ module Shape = Fsdata_core.Shape
 let sample1 = {|[ { "name":"Jan", "age":25 } ]|}
 let sample2 = {|[ { "name":"Tomas" }, { "name":"Alexander", "age":3.5 } ]|}
 
+let infer samples =
+  (Result.get_ok
+     (Infer.run ~jobs:1 ~budget:Fsdata_data.Diagnostic.Strict Json
+        (Infer.Samples samples)))
+    .Infer.shape
+
 let () =
-  let shape1 = Result.get_ok (Infer.of_json sample1) in
-  let shape12 = Result.get_ok (Infer.of_json_samples [ sample1; sample2 ]) in
+  let shape1 = infer [ sample1 ] in
+  let shape12 = infer [ sample1; sample2 ] in
   Format.printf "shape from sample 1:      %a@." Shape.pp shape1;
   Format.printf "shape from samples 1+2:   %a@." Shape.pp shape12;
 

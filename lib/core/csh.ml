@@ -29,7 +29,7 @@ let join_primitives (a : primitive) (b : primitive) =
 
 (* Canonical form for top labels. Both adjustments exist to make csh
    associative at the representation level (not merely up to
-   ⊑-equivalence), which the parallel tree reduction of Par_infer relies
+   ⊑-equivalence), which the parallel tree reduction of Infer.run relies
    on:
 
    (a) a collection label's exactly-one entries weaken to zero-or-one.

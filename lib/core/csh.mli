@@ -41,7 +41,7 @@
     reads as an empty collection). This makes [csh] associative and
     commutative at the representation level (up to record field order),
     not merely up to ⊑-equivalence — which is what lets
-    {!Par_infer.csh_tree} re-associate the fold freely. *)
+    {!Infer.csh_tree} re-associate the fold freely. *)
 
 type mode = [ `Core | `Hetero | `Xml ]
 

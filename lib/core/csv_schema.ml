@@ -89,11 +89,16 @@ let apply overrides (shape : Shape.t) : (Shape.t, string) result =
           Ok (Shape.hetero [ (Shape.record name fields, mult) ]))
   | _ -> Error "schema overrides apply to CSV collection shapes only"
 
-let infer_csv ?separator ?has_headers ?(schema = "") src =
-  match Infer.of_csv ?separator ?has_headers src with
+let override schema shape =
+  match parse schema with
   | Error e -> Error e
-  | Ok shape -> (
-      match parse schema with
-      | Error e -> Error e
-      | Ok [] -> Ok shape
-      | Ok overrides -> apply overrides shape)
+  | Ok [] -> Ok shape
+  | Ok overrides -> apply overrides shape
+
+let infer_csv ?(schema = "") src =
+  match
+    Infer.run ~jobs:1 ~budget:Fsdata_data.Diagnostic.Strict Csv
+      (Infer.Stream src)
+  with
+  | Error e -> Error e
+  | Ok report -> override schema report.Infer.shape

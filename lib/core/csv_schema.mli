@@ -26,10 +26,10 @@ val apply : t -> Shape.t -> (Shape.t, string) result
     CSV collection shape. Errors when [shape] is not a CSV collection
     shape or an override names a column that does not exist. *)
 
-val infer_csv :
-  ?separator:char ->
-  ?has_headers:bool ->
-  ?schema:string ->
-  string ->
-  (Shape.t, string) result
-(** {!Infer.of_csv} with the overrides applied. *)
+val override : string -> Shape.t -> (Shape.t, string) result
+(** [override schema shape] parses [schema] and applies it to [shape];
+    the empty schema leaves [shape] as it is. *)
+
+val infer_csv : ?schema:string -> string -> (Shape.t, string) result
+(** Strict inference of a CSV sample ({!Infer.run}) with the overrides
+    applied. *)

@@ -38,21 +38,25 @@ val csh_mode : mode -> Csh.mode
 (** The collection-merging discipline each inference mode folds with:
     [`Paper] → [`Core], [`Practical] → [`Hetero], [`Xml] → [`Xml]. *)
 
-(** {1 Fault-tolerant inference}
+(** {1 Ingestion}
 
-    The strict entry points below abort on the first malformed sample.
-    The [_tolerant] variants instead {e quarantine} faulty samples —
-    recording a structured diagnostic and the skipped text, and leaving
-    them out of the csh fold — as long as the number of faults stays
-    within an error budget. With budget {!Fsdata_data.Diagnostic.Strict}
-    any fault is over budget, so tolerance is strictly opt-in.
+    One driver, {!run}, infers the shape of a corpus from any source, at
+    any degree of parallelism, under any error budget. Inference from
+    samples is one fold of csh over the samples (Figure 3), and Lemma 1
+    makes csh an associative, commutative join, so sequential, parallel,
+    buffered and fed inference only regroup that fold: the corpus is cut
+    into chunks, each chunk is folded (on a worker domain when
+    [jobs > 1]), and the chunk shapes are merged with a balanced csh
+    tree. The result equals the sequential fold by {!Shape.equal}, the
+    paper's shape identity ("record fields can be freely reordered");
+    its representation is preserved too, except on corpora whose
+    samples mix records with other tagged shapes, where re-association
+    can change the field order inside a labelled top. The property
+    suite [test/test_par_infer.ml] pins this down.
 
-    Every tolerant driver takes an optional [cancel] token
-    ({!Fsdata_data.Cancel.t}), polled between samples — outside
-    {!shape_of_sample}'s isolation boundary, so cancellation is never
-    swallowed as a quarantine diagnostic. When the token trips the
-    driver raises {!Fsdata_data.Cancel.Cancelled}; the serve layer uses
-    this to cut off requests whose deadline expired mid-parse. *)
+    Faulty samples are {e quarantined} — recorded with a structured
+    diagnostic and the skipped text, and left out of the fold — as long
+    as their number stays within the error budget. *)
 
 type quarantined = {
   q_index : int;  (** global 0-based sample index within the corpus *)
@@ -66,16 +70,77 @@ type report = {
   quarantined : quarantined list;  (** in sample order *)
 }
 
-val sort_quarantined : quarantined list -> quarantined list
-(** Stable sort by global sample index. *)
+type source =
+  | Samples of string list  (** one document per string *)
+  | Stream of string  (** whitespace-separated documents *)
+  | Feed of ((string -> unit) -> unit)
+      (** a {!Stream} arriving in fragments: [Feed feed] calls [feed
+          push], and the driver parses each fragment the caller
+          [push]es, holding at most one partial document in memory *)
 
-val budget_error :
+val run :
+  ?cancel:Fsdata_data.Cancel.t ->
+  ?mode:mode ->
+  ?chunk_size:int ->
+  jobs:int ->
   budget:Fsdata_data.Diagnostic.budget ->
-  total:int ->
-  quarantined list ->
-  string option
-(** [Some message] when the quarantine list exceeds the budget over
-    [total] samples; the message names the first offending sample. *)
+  Fsdata_data.Diagnostic.format ->
+  source ->
+  (report, string) result
+(** [run ~jobs ~budget format source] parses [source] as [format] and
+    infers the shape of its samples.
+
+    - [jobs = 1] is the sequential fold on the calling domain;
+      [jobs <= 0] means the recommended domain count. At most 64
+      domains are used.
+    - [budget = Strict] fails on the first fault with its legacy
+      one-line message ({!Fsdata_data.Diagnostic.message_of}); any
+      other budget quarantines faults up to the budget and otherwise
+      fails with a message naming the first one.
+    - [Samples] is split into [jobs] contiguous chunks, parsed and
+      inferred in the workers, each sample behind an isolation boundary
+      that turns any fault, even an unexpected exception, into a
+      diagnostic with the sample's global index.
+    - [Stream] and [Feed] are parsed on the calling domain by
+      {!Fsdata_data.Json.fold_many} / {!Fsdata_data.Json.fold_feed} in
+      recovering mode (a malformed document costs one sample, and the
+      parser resynchronizes at the next top-level boundary). A chunk is
+      cut by documents ([chunk_size], default 65536) or consumed bytes,
+      never at fragment boundaries, so a fed body gives the same report
+      whatever its fragments. An empty stream is an error.
+    - XML is one document per sample (a [Stream] or [Feed] is one
+      document) and infers in [`Xml] mode by default; JSON defaults to
+      [`Practical]. A CSV source is one table whose data rows are the
+      samples; ragged rows are quarantined, an unterminated quoted cell
+      fails regardless of budget, and [mode] does not apply.
+
+    [cancel] is polled between samples on the calling domain and raises
+    {!Fsdata_data.Cancel.Cancelled} once it trips; worker domains are
+    always joined first. The serve layer uses it to cut off requests
+    whose deadline expired mid-parse. *)
+
+(** {2 Names kept for the benchmark}
+
+    [perfbench/pbref.ml], a separate dune project in the workspace,
+    links these two names, so they stay as sequential applications of
+    {!run}. *)
+
+val of_json_tolerant :
+  ?cancel:Fsdata_data.Cancel.t ->
+  ?mode:mode ->
+  budget:Fsdata_data.Diagnostic.budget ->
+  string ->
+  (report, string) result
+(** [run ~jobs:1 ~budget Json (Stream src)]. *)
+
+val of_csv_tolerant :
+  ?cancel:Fsdata_data.Cancel.t ->
+  budget:Fsdata_data.Diagnostic.budget ->
+  string ->
+  (report, string) result
+(** [run ~jobs:1 ~budget Csv (Stream src)]. *)
+
+(** {2 Pieces of the driver the property tests check} *)
 
 val shape_of_sample :
   mode:mode ->
@@ -84,84 +149,26 @@ val shape_of_sample :
   parse:(string -> (Fsdata_data.Data_value.t, Fsdata_data.Diagnostic.t) result) ->
   string ->
   (Shape.t, Fsdata_data.Diagnostic.t) result
-(** Parse and infer one sample, converting any fault — a parse error or
-    an unexpected exception escaping [parse] or inference — into a
-    diagnostic carrying the sample's [index]. Never raises; this is the
-    per-sample isolation boundary the parallel drivers rely on. *)
+(** The per-sample isolation boundary of {!run}: parse and infer one
+    sample, converting any fault — a parse error or an unexpected
+    exception escaping [parse] or inference — into a diagnostic
+    carrying the sample's [index]. Never raises. *)
 
-val of_json_samples_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
-  (report, string) result
+val chunk : int -> 'a list -> 'a list list
+(** [chunk k xs] splits [xs] into at most [k] contiguous runs of
+    near-equal length, preserving order; no run is empty. [chunk k []]
+    is [[]]. Raises [Invalid_argument] when [k < 1]. *)
 
-val of_xml_samples_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string list ->
-  (report, string) result
-(** Default mode is [`Xml], as for {!of_xml_samples}. *)
+val csh_tree : ?mode:Csh.mode -> Shape.t list -> Shape.t
+(** Balanced tree reduction of {!Csh.csh} over a list of shapes:
+    adjacent shapes are merged pairwise until one remains. Equal to
+    {!Csh.csh_all} on the same list (Lemma 1), in logarithmically many
+    rounds. [csh_tree []] is [Shape.Bottom]. Default mode is
+    [`Hetero], as for {!Csh.csh}. {!run} builds the same tree over its
+    chunk shapes as they arrive. *)
 
-val of_json_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string ->
-  (report, string) result
-(** Streaming variant over a whitespace-separated document stream:
-    malformed documents are skipped via {!Fsdata_data.Json.fold_many}'s
-    recovering mode, resynchronizing at the next top-level document
-    boundary. *)
-
-val of_json_feed_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?mode:mode ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  ((string -> unit) -> unit) ->
-  (report, string) result
-(** Incremental variant of {!of_json_tolerant}: [of_json_feed_tolerant
-    ~budget feed] calls [feed push] and infers over every fragment the
-    caller [push]es, holding at most one partial document (plus the
-    current fragment) in memory via {!Fsdata_data.Json.Cursor}. Same
-    recovering semantics, diagnostics, stream-global indices and ingest
-    accounting as {!of_json_tolerant}; the serve layer uses it to infer
-    over request bodies without buffering them. Merge batching follows
-    fragment boundaries instead of [fold_many]'s document chunks, so
-    outputs agree byte-for-byte wherever csh is representation-level
-    associative (everywhere but the mixed-tag corpora documented in
-    {!Csh}). *)
-
-val of_csv_tolerant :
-  ?cancel:Fsdata_data.Cancel.t ->
-  ?separator:char ->
-  ?has_headers:bool ->
-  budget:Fsdata_data.Diagnostic.budget ->
-  string ->
-  (report, string) result
-(** Each data row is a sample; ragged rows are quarantined. Structural
-    faults (unterminated quoted cells) abort regardless of budget.
-    [cancel] is polled once at entry (row parsing is a single pass). *)
-
-(** {1 Format entry points}
-
-    Each parses its input and infers the shape of the samples it contains,
-    the way the corresponding F# Data type provider does. *)
-
-val of_json : ?mode:mode -> string -> (Shape.t, string) result
-(** One or more whitespace-separated JSON sample documents. *)
-
-val of_json_samples : ?mode:mode -> string list -> (Shape.t, string) result
-(** Several separate JSON sample strings (the multi-sample static
-    parameter of the provider). *)
-
-val of_xml : ?mode:mode -> string -> (Shape.t, string) result
-(** A single XML sample document; the default mode here is [`Xml]. *)
-
-val of_xml_samples : ?mode:mode -> string list -> (Shape.t, string) result
-
-val of_csv : ?separator:char -> ?has_headers:bool -> string -> (Shape.t, string) result
-(** A CSV sample; the shape is the collection of row-record shapes
-    (Section 6.2). CSV inference is always practical: its literals carry
-    no types. *)
+val shape_of_samples_par :
+  ?mode:mode -> jobs:int -> Fsdata_data.Data_value.t list -> Shape.t
+(** {!shape_of_samples} over [jobs] chunks through {!run}'s dispatcher,
+    merged with {!csh_tree}: the value-level form of the chunked fold
+    that the sequential ≡ parallel property checks against Lemma 1. *)

@@ -6,7 +6,7 @@
     example, in XHTML all [<table>] elements will be treated as values of
     the same type."
 
-    Local inference (the default, {!Infer.of_xml}) gives every element
+    Local inference (the default, {!Infer.run}) gives every element
     position its own shape and cannot describe recursive documents as a
     finite shape. Global inference instead produces an {e environment}:
     one element signature per element name, where child elements are

@@ -7,8 +7,8 @@
     {e where}, and {e why}, and (under an error budget) keep going.
 
     This module is the one error currency shared by the [Json], [Xml]
-    and [Csv] parsers and by the tolerant inference drivers in
-    [Fsdata_core.Infer] / [Fsdata_core.Par_infer]. The three legacy
+    and [Csv] parsers and by the ingestion driver
+    [Fsdata_core.Infer.run]. The three legacy
     per-format [Parse_error] exceptions still exist as thin compatibility
     wrappers around a diagnostic; new code should consume diagnostics. *)
 

@@ -327,14 +327,28 @@ and parse_array st =
     Data_value.List (List.rev !items)
   end
 
-let parse s =
+(* The one parse funnel: {!parse}, {!fold_many}, {!fold_feed} and the
+   {!Cursor} all parse a document through [parse_document] and count it
+   through [count_document] once it is accepted, so spans and counters
+   mean the same on every JSON path. The [parse.json] span and the
+   [parse.json.ns] timer cover every attempt, failed ones included;
+   documents and bytes count accepted documents only (a cursor may
+   re-parse a document that straddles fragments). *)
+let parse_document st =
   Fsdata_obs.Trace.with_span "parse.json" @@ fun () ->
+  Fsdata_obs.Metrics.time m_ns @@ fun () -> parse_value st
+
+let count_document bytes =
   Fsdata_obs.Metrics.incr m_docs;
-  Fsdata_obs.Metrics.add m_bytes (String.length s);
-  Fsdata_obs.Metrics.time m_ns @@ fun () ->
+  Fsdata_obs.Metrics.add m_bytes bytes
+
+let parse s =
   legacy (fun () ->
       let st = make_state s in
-      let v = parse_value st in
+      skip_ws st;
+      let mark = st.pos in
+      let v = parse_document st in
+      count_document (st.pos - mark);
       skip_ws st;
       (match peek st with
       | Some c -> error st "trailing content after JSON value: %C" c
@@ -406,34 +420,62 @@ let resync st ~start =
   done;
   !found
 
-let fold_many ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_error
-    f acc s =
-  if chunk_size < 1 then invalid_arg "Json.fold_many: chunk_size must be positive";
-  let byte_cap =
+(* Cuts a document stream into the chunks {!fold_many} and {!fold_feed}
+   hand to their fold function: a chunk is cut once it holds
+   [chunk_size] documents or has consumed [chunk_bytes] source bytes,
+   whichever fills first. Both drivers measure a document by the bytes
+   its parse consumed, so the same stream is cut at the same documents
+   however it arrives. *)
+type 'acc chunker = {
+  f : 'acc -> Data_value.t list -> 'acc;
+  mutable acc : 'acc;
+  mutable docs : Data_value.t list;
+  mutable n : int;
+  mutable bytes : int;
+  max_docs : int;
+  max_bytes : int;
+}
+
+let chunker ~name ~chunk_size ~chunk_bytes f acc =
+  if chunk_size < 1 then invalid_arg (name ^ ": chunk_size must be positive");
+  let max_bytes =
     match chunk_bytes with
     | None -> max_int
     | Some b ->
-        if b < 1 then invalid_arg "Json.fold_many: chunk_bytes must be positive"
+        if b < 1 then invalid_arg (name ^ ": chunk_bytes must be positive")
         else b
   in
+  { f; acc; docs = []; n = 0; bytes = 0; max_docs = chunk_size; max_bytes }
+
+let flush ck =
+  if ck.n > 0 then begin
+    let docs = List.rev ck.docs in
+    ck.docs <- [];
+    ck.n <- 0;
+    ck.bytes <- 0;
+    ck.acc <- ck.f ck.acc docs
+  end
+
+let push ck v ~bytes =
+  ck.docs <- v :: ck.docs;
+  ck.n <- ck.n + 1;
+  ck.bytes <- ck.bytes + bytes;
+  if ck.n >= ck.max_docs || ck.bytes >= ck.max_bytes then flush ck
+
+let fold_many ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_error
+    f acc s =
+  let ck = chunker ~name:"Json.fold_many" ~chunk_size ~chunk_bytes f acc in
   let st = make_state s in
-  let rec loop acc chunk n bytes idx =
+  let rec loop idx =
     skip_ws st;
-    if st.pos >= st.len then if n = 0 then acc else f acc (List.rev chunk)
-    else begin
+    if st.pos < st.len then begin
       Cancel.check cancel;
       let mark = st.pos in
-      match Fsdata_obs.Metrics.time m_ns (fun () -> parse_value st) with
+      match parse_document st with
       | v ->
-          Fsdata_obs.Metrics.incr m_docs;
-          Fsdata_obs.Metrics.add m_bytes (st.pos - mark);
-          let bytes = bytes + (st.pos - mark) in
-          (* cut the chunk at whichever cap fills first: the document
-             count, or the consumed source bytes (so huge documents keep
-             chunk residency bounded) *)
-          if n + 1 >= chunk_size || bytes >= byte_cap then
-            loop (f acc (List.rev (v :: chunk))) [] 0 0 (idx + 1)
-          else loop acc (v :: chunk) (n + 1) bytes (idx + 1)
+          count_document (st.pos - mark);
+          push ck v ~bytes:(st.pos - mark);
+          loop (idx + 1)
       | exception Diagnostic.Parse_error d -> (
           match on_error with
           | None -> reraise_legacy d
@@ -443,10 +485,12 @@ let fold_many ?(cancel = Cancel.never) ?(chunk_size = 256) ?chunk_bytes ?on_erro
               ignore (resync st ~start:mark);
               let skipped = String.trim (String.sub s mark (st.pos - mark)) in
               handler (Diagnostic.with_index idx d) ~skipped;
-              loop acc chunk n bytes (idx + 1))
+              loop (idx + 1))
     end
   in
-  loop acc [] 0 0 0
+  loop 0;
+  flush ck;
+  ck.acc
 
 let parse_many s =
   List.rev (fold_many (fun acc c -> List.rev_append c acc) [] s)
@@ -459,20 +503,80 @@ let parse_many s =
    negative when the current line began before the retained tail, and
    the column arithmetic [st.pos - st.bol + 1] is translation-invariant
    so it keeps working. A partial document is re-parsed from its start
-   each time more input arrives — quadratic in the worst case, but
-   sample documents are small compared to read buffers. *)
+   when more input arrives; in recovering mode only once the input may
+   hold its end (see [can_hold]), so a large document fed a byte at a
+   time costs linear, not quadratic, time. *)
 module Cursor = struct
   type t = {
     mutable pending : string; (* unconsumed tail, starting at a document start *)
+    held : Buffer.t; (* input held after [pending] without a parse attempt *)
     mutable line : int; (* stream line of the start of [pending] *)
     mutable bol : int; (* line-start offset relative to [pending]'s start, <= 0 *)
     mutable seen : int; (* documents consumed so far, parsed or skipped *)
+    (* {!resync}'s bracket scan over [pending] and [held] *)
+    mutable depth : int;
+    mutable in_str : bool;
+    mutable esc : bool;
+    mutable after_nl : bool;
     on_error : (Diagnostic.t -> skipped:string -> unit) option;
     cancel : Cancel.t;
   }
 
   let create ?(cancel = Cancel.never) ?on_error () =
-    { pending = ""; line = 1; bol = 0; seen = 0; on_error; cancel }
+    {
+      pending = "";
+      held = Buffer.create 256;
+      line = 1;
+      bol = 0;
+      seen = 0;
+      depth = 0;
+      in_str = false;
+      esc = false;
+      after_nl = false;
+      on_error;
+      cancel;
+    }
+
+  (* Continue the pending document's bracket scan over [s]; true at the
+     first byte where {!resync} could find a boundary — a closing bracket
+     back at depth 0, or a line starting with '{' or '[' — where the scan
+     stops, unless [all]. *)
+  let scan ?(all = false) cur s =
+    let n = String.length s in
+    let rec go i found =
+      if i >= n || (found && not all) then found
+      else begin
+        let c = String.unsafe_get s i in
+        let opens_line = cur.after_nl && (c = '{' || c = '[') in
+        cur.after_nl <- c = '\n';
+        if cur.in_str then begin
+          if cur.esc then cur.esc <- false
+          else if c = '\\' then cur.esc <- true
+          else if c = '"' then cur.in_str <- false
+        end
+        else begin
+          match c with
+          | '"' -> cur.in_str <- true
+          | '{' | '[' -> cur.depth <- cur.depth + 1
+          | '}' | ']' -> cur.depth <- cur.depth - 1
+          | _ -> ()
+        end;
+        let closes = (c = '}' || c = ']') && (not cur.in_str) && cur.depth <= 0 in
+        go (i + 1) (found || opens_line || closes)
+      end
+    in
+    go 0 false
+
+  (* In recovering mode, a retained document that does not start like a
+     scalar can neither complete nor be skipped before a boundary
+     arrives, so the input is held without re-parsing it: feeding a
+     large document in small fragments stays linear. *)
+  let can_hold cur =
+    cur.on_error <> None
+    && cur.pending <> ""
+    && match cur.pending.[0] with
+       | '"' | '-' | '0' .. '9' | 't' | 'f' | 'n' -> false
+       | _ -> true
 
   let seeded_state cur buf =
     let st = make_state buf in
@@ -480,14 +584,25 @@ module Cursor = struct
     st.bol <- cur.bol;
     st
 
-  let feed cur fragment =
-    let buf = if cur.pending = "" then fragment else cur.pending ^ fragment in
+  (* [feed_with]/[finish_with] (through [parse_with]) hand each accepted
+     document to [emit] together with the bytes its parse consumed, the
+     measure {!fold_feed} cuts chunks by. *)
+  let parse_with cur fragment emit =
+    let buf =
+      if cur.pending = "" then fragment
+      else String.concat "" [ cur.pending; Buffer.contents cur.held; fragment ]
+    in
+    Buffer.clear cur.held;
     let st = seeded_state cur buf in
-    let docs = ref [] in
     let retain mark mark_line mark_bol =
       cur.pending <- String.sub buf mark (String.length buf - mark);
       cur.line <- mark_line;
-      cur.bol <- mark_bol - mark
+      cur.bol <- mark_bol - mark;
+      cur.depth <- 0;
+      cur.in_str <- false;
+      cur.esc <- false;
+      cur.after_nl <- false;
+      ignore (scan ~all:true cur cur.pending)
     in
     let rec loop () =
       skip_ws st;
@@ -499,7 +614,7 @@ module Cursor = struct
       else begin
         Cancel.check cur.cancel;
         let mark = st.pos and mark_line = st.line and mark_bol = st.bol in
-        match parse_value st with
+        match parse_document st with
         | v ->
             (* A top-level number ending exactly at the fragment boundary
                could still grow in the next fragment ("12" + "34"), so
@@ -513,7 +628,8 @@ module Cursor = struct
             in
             if could_grow then retain mark mark_line mark_bol
             else begin
-              docs := v :: !docs;
+              count_document (st.pos - mark);
+              emit v ~bytes:(st.pos - mark);
               cur.seen <- cur.seen + 1;
               loop ()
             end
@@ -541,22 +657,28 @@ module Cursor = struct
                   retain mark mark_line mark_bol)
       end
     in
-    loop ();
-    List.rev !docs
+    loop ()
 
-  let finish cur =
-    if cur.pending = "" then []
-    else begin
+  let feed_with cur fragment emit =
+    if can_hold cur && not (scan cur fragment) then begin
+      Cancel.check cur.cancel;
+      Buffer.add_string cur.held fragment
+    end
+    else parse_with cur fragment emit
+
+  let finish_with cur emit =
+    if Buffer.length cur.held > 0 then parse_with cur "" emit;
+    if cur.pending <> "" then begin
       let st = seeded_state cur cur.pending in
-      let docs = ref [] in
       let rec loop () =
         skip_ws st;
         if st.pos < st.len then begin
           Cancel.check cur.cancel;
           let mark = st.pos in
-          match parse_value st with
+          match parse_document st with
           | v ->
-              docs := v :: !docs;
+              count_document (st.pos - mark);
+              emit v ~bytes:(st.pos - mark);
               cur.seen <- cur.seen + 1;
               loop ()
           | exception Diagnostic.Parse_error d -> (
@@ -577,10 +699,25 @@ module Cursor = struct
       loop ();
       cur.pending <- "";
       cur.line <- 1;
-      cur.bol <- 0;
-      List.rev !docs
+      cur.bol <- 0
     end
+
+  let collect run =
+    let docs = ref [] in
+    run (fun v ~bytes:_ -> docs := v :: !docs);
+    List.rev !docs
+
+  let feed cur fragment = collect (feed_with cur fragment)
+  let finish cur = collect (finish_with cur)
 end
+
+let fold_feed ?cancel ?(chunk_size = 256) ?chunk_bytes ?on_error f acc feed =
+  let ck = chunker ~name:"Json.fold_feed" ~chunk_size ~chunk_bytes f acc in
+  let cur = Cursor.create ?cancel ?on_error () in
+  feed (fun fragment -> Cursor.feed_with cur fragment (push ck));
+  Cursor.finish_with cur (push ck);
+  flush ck;
+  ck.acc
 
 (* Raw lexer access for shape-specialized parser compilation
    (lib/core/shape_compile). Compiled decoders drive the same state,

@@ -64,6 +64,23 @@ val fold_many :
     raises {!Cancel.Cancelled} immediately, without consuming further
     input or invoking the fold function again. *)
 
+val fold_feed :
+  ?cancel:Cancel.t ->
+  ?chunk_size:int ->
+  ?chunk_bytes:int ->
+  ?on_error:(Diagnostic.t -> skipped:string -> unit) ->
+  ('acc -> Data_value.t list -> 'acc) ->
+  'acc ->
+  ((string -> unit) -> unit) ->
+  'acc
+(** [fold_many] over a stream that arrives in fragments: [fold_feed f
+    acc feed] calls [feed push] and parses every fragment the caller
+    [push]es through a {!Cursor}, holding at most one partial document
+    between fragments. Chunks are cut by documents and consumed bytes
+    exactly as in {!fold_many}, never at fragment boundaries, so the
+    fold sees the same chunks, diagnostics and stream indices whatever
+    the fragment sizes. *)
+
 (** Incremental parsing of a document stream fed in arbitrary string
     fragments (e.g. fixed-size file reads). The cursor retains at most
     one partial document between feeds; error positions are relative to

@@ -50,6 +50,12 @@ let time c f =
     | v ->
         finish ();
         v
+    | exception e when not (Printexc.backtrace_status ()) ->
+        (* nothing to keep: restoring even an empty backtrace on every
+           raise cost about 4 MB of server RSS on 3 MiB streamed bodies,
+           whose fragments mostly end mid-document *)
+        finish ();
+        raise e
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         finish ();

@@ -244,15 +244,16 @@ let provide ?(format : format = `Json) ?(root_name = "Root") ?pool shape =
   Fsdata_obs.Metrics.add m_classes (List.length !classes);
   { root_ty; conv; classes = List.rev !classes; shape; format }
 
+let provide_from format src =
+  Infer.run ~jobs:1 ~budget:Fsdata_data.Diagnostic.Strict format
+    (Infer.Stream src)
+  |> Result.map (fun r -> r.Infer.shape)
+
 let provide_json ?root_name src =
-  match Infer.of_json ~mode:`Practical src with
-  | Error e -> Error e
-  | Ok shape -> Ok (provide ~format:`Json ?root_name shape)
+  Result.map (provide ~format:`Json ?root_name) (provide_from Json src)
 
 let provide_xml ?root_name src =
-  match Infer.of_xml src with
-  | Error e -> Error e
-  | Ok shape -> Ok (provide ~format:`Xml ?root_name shape)
+  Result.map (provide ~format:`Xml ?root_name) (provide_from Xml src)
 
 let provide_xml_global sources =
   match Fsdata_core.Xml_global.of_strings sources with
@@ -405,8 +406,8 @@ let provide_html src =
            tables)
   | exception e -> Error (Printexc.to_string e)
 
-let provide_csv ?separator ?has_headers ?schema src =
-  match Fsdata_core.Csv_schema.infer_csv ?separator ?has_headers ?schema src with
+let provide_csv ?schema src =
+  match Fsdata_core.Csv_schema.infer_csv ?schema src with
   | Error e -> Error e
   | Ok shape -> Ok (provide ~format:`Csv shape)
 

@@ -84,12 +84,7 @@ val provide_html :
     type, and the extracted raw table (pass
     [Fsdata_data.Csv.to_data table] to {!Fsdata_runtime.Typed.load}). *)
 
-val provide_csv :
-  ?separator:char ->
-  ?has_headers:bool ->
-  ?schema:string ->
-  string ->
-  (t, string) result
+val provide_csv : ?schema:string -> string -> (t, string) result
 (** [schema] is a column-override string like ["Temp=float, Flag=bool?"]
     (see {!Fsdata_core.Csv_schema}). *)
 

@@ -1,6 +1,5 @@
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
 module Shape_parser = Fsdata_core.Shape_parser
 module Shape_check = Fsdata_core.Shape_check
 module Shape_compile = Fsdata_core.Shape_compile
@@ -291,6 +290,23 @@ let render_ok t ~format ~accept ~cache_header report =
   in
   (body, cache_header)
 
+(* The ingestion parameters /infer and /streams/:name/push share: the
+   [max-errors] budget (strict when absent) and the [format] (json when
+   absent). *)
+let ingest_params req =
+  let budget =
+    match Http.query_param req "max-errors" with
+    | None -> Ok Diagnostic.Strict
+    | Some s -> Diagnostic.budget_of_string s
+  in
+  match (budget, Option.value ~default:"json" (Http.query_param req "format")) with
+  | (Error _ as e), _ -> e
+  | Ok budget, "json" -> Ok (Diagnostic.Json, budget)
+  | Ok budget, "csv" -> Ok (Diagnostic.Csv, budget)
+  | Ok budget, "xml" -> Ok (Diagnostic.Xml, budget)
+  | Ok _, fmt ->
+      Error (Printf.sprintf "unsupported format %S (use json, csv or xml)" fmt)
+
 let handle_infer t ~cancel ~rest req =
   if req.Http.meth <> "POST" then method_not_allowed "POST"
   else
@@ -299,102 +315,80 @@ let handle_infer t ~cancel ~rest req =
         Http.response ~status:406 (json_body [ ("error", Dv.String m) ])
     | Ok accept -> (
     let content_type = accept_content_type accept in
-    let format = Option.value ~default:"json" (Http.query_param req "format") in
+    (* 0 asks for the recommended domain count, which {!Infer.run}
+       picks *)
     let jobs =
       match Http.query_param req "jobs" with
       | None -> Ok 1
       | Some s -> (
           match int_of_string_opt s with
-          | Some n when n > 0 -> Ok n
-          | Some 0 -> Ok (Par_infer.recommended_jobs ())
+          | Some n when n >= 0 -> Ok n
           | _ -> Error (Printf.sprintf "bad jobs value %S" s))
     in
-    let budget =
-      match Http.query_param req "max-errors" with
-      | None -> Ok Diagnostic.Strict
-      | Some s -> Diagnostic.budget_of_string s
-    in
-    match (format, jobs, budget) with
-    | _, Error m, _ | _, _, Error m -> json_error 400 m
-    | "json", Ok _, Ok budget when rest <> None -> (
-        (* Streamed JSON: the body never materializes — fragments feed
-           the recovering cursor as they arrive off the socket. No
-           digest key exists without the bytes, so this path bypasses
-           the response cache. *)
-        Metrics.incr stream_bodies;
-        let rest = Option.get rest in
-        let feed push =
-          let rec go () =
-            match Http.read_body_chunk rest with
-            | "" -> ()
-            | s ->
-                push s;
-                go ()
-          in
-          go ()
+    match (jobs, ingest_params req) with
+    | (Error m, _) | (_, Error m) -> json_error 400 m
+    | Ok jobs, Ok (format, budget) -> (
+        let format_name = Diagnostic.format_name format in
+        let infer ~cache_header source =
+          Infer.run ~cancel ~jobs ~budget format source
+          |> Result.map (render_ok t ~format:format_name ~accept ~cache_header)
         in
-        match Infer.of_json_feed_tolerant ~cancel ~budget feed with
-        | Error m -> json_error 422 m
-        | Ok report ->
-            let body, header =
-              render_ok t ~format ~accept ~cache_header:"bypass" report
+        let respond (body, header) =
+          Http.response ~content_type
+            ~headers:[ ("x-fsdata-cache", header) ]
+            ~status:200 body
+        in
+        match (format, rest) with
+        | Diagnostic.Json, Some rest -> (
+            (* Streamed JSON: the body never materializes — fragments
+               feed the recovering cursor as they arrive off the socket.
+               No digest key exists without the bytes, so this path
+               bypasses the response cache. *)
+            Metrics.incr stream_bodies;
+            let rec feed push =
+              match Http.read_body_chunk rest with
+              | "" -> ()
+              | s ->
+                  push s;
+                  feed push
             in
-            Http.response ~content_type
-              ~headers:[ ("x-fsdata-cache", header) ]
-              ~status:200 body)
-    | ("json" | "csv" | "xml"), Ok jobs, Ok budget -> (
-        (* Buffered (or non-JSON streamed: drained here, still under the
-           reservation) — the digest-keyed cache path. The negotiated
-           representation rides in the key: the same body under a
-           different Accept is a different response. *)
-        let body_text =
-          match rest with
-          | None -> req.Http.body
-          | Some rest -> Http.read_body_all rest
-        in
-        let key =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "\x00"
-                  [
-                    format;
-                    accept_tag accept;
-                    string_of_int jobs;
-                    Diagnostic.budget_to_string budget;
-                    body_text;
-                  ]))
-        in
-        match Cache.find t.cache key with
-        | Some body ->
-            Metrics.incr cache_hits;
-            Http.response ~content_type
-              ~headers:[ ("x-fsdata-cache", "hit") ]
-              ~status:200 body
-        | None -> (
-            Metrics.incr cache_misses;
-            let result =
-              match format with
-              | "json" ->
-                  Par_infer.of_json_tolerant ~cancel ~jobs ~budget body_text
-              | "xml" ->
-                  Par_infer.of_xml_samples_tolerant ~cancel ~jobs ~budget
-                    [ body_text ]
-              | _ -> Infer.of_csv_tolerant ~cancel ~budget body_text
-            in
-            match result with
+            match infer ~cache_header:"bypass" (Infer.Feed feed) with
             | Error m -> json_error 422 m
-            | Ok report ->
-                let body, header =
-                  render_ok t ~format ~accept ~cache_header:"miss" report
-                in
-                Metrics.add cache_evictions
-                  (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
-                Http.response ~content_type
-                  ~headers:[ ("x-fsdata-cache", header) ]
-                  ~status:200 body))
-    | fmt, _, _ ->
-        json_error 400
-          (Printf.sprintf "unsupported format %S (use json, csv or xml)" fmt))
+            | Ok rendered -> respond rendered)
+        | _ -> (
+            (* Buffered (or non-JSON streamed: drained here, still under
+               the reservation) — the digest-keyed cache path. The
+               negotiated representation rides in the key: the same body
+               under a different Accept is a different response. *)
+            let body_text =
+              match rest with
+              | None -> req.Http.body
+              | Some rest -> Http.read_body_all rest
+            in
+            let key =
+              Digest.to_hex
+                (Digest.string
+                   (String.concat "\x00"
+                      [
+                        format_name;
+                        accept_tag accept;
+                        string_of_int jobs;
+                        Diagnostic.budget_to_string budget;
+                        body_text;
+                      ]))
+            in
+            match Cache.find t.cache key with
+            | Some body ->
+                Metrics.incr cache_hits;
+                respond (body, "hit")
+            | None -> (
+                Metrics.incr cache_misses;
+                match infer ~cache_header:"miss" (Infer.Stream body_text) with
+                | Error m -> json_error 422 m
+                | Ok ((body, _) as rendered) ->
+                    Metrics.add cache_evictions
+                      (Cache.add ?ttl_ns:(cache_ttl t) t.cache key body);
+                    respond rendered))))
 
 (* --- /check and /explain --- *)
 
@@ -510,21 +504,11 @@ let stream_fields (st : Registry.stream) =
 let handle_stream_push t ~cancel name req =
   if req.Http.meth <> "POST" then method_not_allowed "POST"
   else
-    let format = Option.value ~default:"json" (Http.query_param req "format") in
-    let budget =
-      match Http.query_param req "max-errors" with
-      | None -> Ok Diagnostic.Strict
-      | Some s -> Diagnostic.budget_of_string s
-    in
-    match (format, budget) with
-    | _, Error m -> json_error 400 m
-    | ("json" | "csv" | "xml"), Ok budget -> (
+    match ingest_params req with
+    | Error m -> json_error 400 m
+    | Ok (format, budget) -> (
         let result =
-          match format with
-          | "json" -> Infer.of_json_tolerant ~cancel ~budget req.Http.body
-          | "xml" ->
-              Infer.of_xml_samples_tolerant ~cancel ~budget [ req.Http.body ]
-          | _ -> Infer.of_csv_tolerant ~cancel ~budget req.Http.body
+          Infer.run ~cancel ~jobs:1 ~budget format (Infer.Stream req.Http.body)
         in
         match result with
         | Error m -> json_error 422 m
@@ -555,9 +539,6 @@ let handle_stream_push t ~cancel name req =
                       ( "quarantined",
                         Dv.Int (List.length report.Infer.quarantined) );
                     ])))
-    | fmt, _ ->
-        json_error 400
-          (Printf.sprintf "unsupported format %S (use json, csv or xml)" fmt)
 
 (* GET /streams/:name/shape?format=paper|schema — the current shape, in
    the paper notation or as the exported JSON Schema. Responses are
@@ -1009,10 +990,13 @@ let handle_query t ~cancel req =
                   match pre_checked with
                   | Some c -> Ok c
                   | None -> (
-                      match Infer.of_json req.Http.body with
+                      match
+                        Infer.run ~cancel ~jobs:1 ~budget:Diagnostic.Strict
+                          Json (Infer.Stream req.Http.body)
+                      with
                       | Error m -> Error (json_error 422 m)
-                      | Ok sigma -> (
-                          let sigma = Shape.hcons sigma in
+                      | Ok report -> (
+                          let sigma = Shape.hcons report.Infer.shape in
                           hcons_guard ();
                           match Fsdata_query.Check.check sigma query with
                           | Error e -> Error (query_rejection e)

@@ -185,3 +185,10 @@ let gen_xml_tree : Fsdata_data.Xml.tree Gen.t =
          return { Fsdata_data.Xml.name; attributes; children })
 
 let print_xml t = Fsdata_data.Xml.to_string t
+
+(* Strict inference through the one ingestion driver, as the provider
+   infers a shape from its samples. *)
+let strict_shape ?mode ?chunk_size ?(jobs = 1) format source =
+  Fsdata_core.Infer.run ?mode ?chunk_size ~jobs
+    ~budget:Fsdata_data.Diagnostic.Strict format source
+  |> Result.map (fun r -> r.Fsdata_core.Infer.shape)

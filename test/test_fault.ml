@@ -14,7 +14,7 @@ module Xml = Fsdata_data.Xml
 module Diagnostic = Fsdata_data.Diagnostic
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par_infer = Fsdata_core.Par_infer
+module Metrics = Fsdata_obs.Metrics
 module Ops = Fsdata_runtime.Ops
 open Generators
 open Fault_inject
@@ -49,21 +49,26 @@ let prop_samples_tolerant =
     (fun c ->
       let budget = budget_for c in
       let expect = Infer.shape_of_samples (List.map Json.parse c.clean) in
-      report_matches c expect (Infer.of_json_samples_tolerant ~budget c.texts)
-      && List.for_all
-           (fun jobs ->
-             report_matches c expect
-               (Par_infer.of_json_samples_tolerant ~jobs ~budget c.texts))
-           jobs_grid
+      List.for_all
+        (fun jobs ->
+          report_matches c expect
+            (Infer.run ~jobs ~budget Json (Samples c.texts)))
+        jobs_grid
       (* one fault over budget must fail the whole run *)
       && (c.faulty = []
          ||
          let tight = Diagnostic.Count (List.length c.faulty - 1) in
-         Result.is_error (Infer.of_json_samples_tolerant ~budget:tight c.texts)
-         && Result.is_error
-              (Par_infer.of_json_samples_tolerant ~jobs:2 ~budget:tight c.texts)
-         ))
+         List.for_all
+           (fun jobs ->
+             Result.is_error
+               (Infer.run ~jobs ~budget:tight Json (Samples c.texts)))
+           [ 1; 2 ]))
 
+(* A fed body is cut into merge batches by documents and bytes consumed,
+   never at fragment boundaries, so however the socket reads fall the
+   fold sees the same chunks as the buffered stream: the same report,
+   and the same number of csh merges, for 1 B, 4 KiB and whole-body
+   fragments. *)
 let prop_stream_tolerant =
   QCheck2.Test.make ~count:100
     ~name:"k ≤ budget faults ≡ clean subset (streaming, jobs 1/2/7)"
@@ -73,11 +78,35 @@ let prop_stream_tolerant =
       let budget = budget_for c in
       let src = String.concat "\n" c.texts in
       let expect = Infer.shape_of_samples (List.map Json.parse c.clean) in
-      report_matches c expect (Infer.of_json_tolerant ~budget src)
+      let merges = Metrics.counter "csh.merges" in
+      let run ~jobs source =
+        Metrics.set_enabled true;
+        let m0 = Metrics.value merges in
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Metrics.set_enabled false)
+            (fun () -> Infer.run ~jobs ~chunk_size:3 ~budget Json source)
+        in
+        (r, Metrics.value merges - m0)
+      in
+      let fragments size push =
+        let n = String.length src in
+        let rec go i =
+          if i < n then begin
+            push (String.sub src i (min size (n - i)));
+            go (i + size)
+          end
+        in
+        go 0
+      in
+      report_matches c expect (Infer.run ~jobs:1 ~budget Json (Stream src))
       && List.for_all
            (fun jobs ->
-             report_matches c expect
-               (Par_infer.of_json_tolerant ~jobs ~chunk_size:3 ~budget src))
+             let ((report, _) as streamed) = run ~jobs (Stream src) in
+             report_matches c expect report
+             && List.for_all
+                  (fun size -> run ~jobs (Feed (fragments size)) = streamed)
+                  [ 1; 4096; max 1 (String.length src) ])
            jobs_grid)
 
 let prop_xml_tolerant =
@@ -92,9 +121,10 @@ let prop_xml_tolerant =
              (fun t -> Xml.to_data ~convert_primitives:false (Xml.parse t))
              c.clean)
       in
-      report_matches c expect (Infer.of_xml_samples_tolerant ~budget c.texts)
-      && report_matches c expect
-           (Par_infer.of_xml_samples_tolerant ~jobs:2 ~budget c.texts))
+      List.for_all
+        (fun jobs ->
+          report_matches c expect (Infer.run ~jobs ~budget Xml (Samples c.texts)))
+        [ 1; 2 ])
 
 (* ----- Compiled-parser parity under error budgets ----- *)
 
@@ -189,9 +219,7 @@ let prop_compiled_ingestion_parity =
           in
           List.for_all
             (fun jobs ->
-              match
-                Par_infer.of_json_tolerant ~jobs ~chunk_size:3 ~budget src
-              with
+              match Infer.run ~jobs ~chunk_size:3 ~budget Json (Stream src) with
               | Error e ->
                   QCheck2.Test.fail_reportf "tolerant ingestion failed: %s" e
               | Ok r ->
@@ -201,9 +229,9 @@ let prop_compiled_ingestion_parity =
             [ 1; 7 ])
       && (m.m_malformed = []
          || Result.is_error
-              (Par_infer.of_json_tolerant ~jobs:7 ~chunk_size:3
+              (Infer.run ~jobs:7 ~chunk_size:3
                  ~budget:(Diagnostic.Count (List.length m.m_malformed - 1))
-                 src)))
+                 Json (Stream src))))
 
 (* ----- Per-sample isolation across domain chunks ----- *)
 
@@ -220,10 +248,7 @@ let test_chunk_boundary_poison () =
   let expect = Infer.shape_of_samples (List.map Json.parse clean) in
   List.iter
     (fun jobs ->
-      match
-        Par_infer.of_json_samples_tolerant ~jobs ~budget:(Diagnostic.Count 2)
-          texts
-      with
+      match Infer.run ~jobs ~budget:(Diagnostic.Count 2) Json (Samples texts) with
       | Error e -> Alcotest.failf "jobs=%d: %s" jobs e
       | Ok r ->
           Alcotest.(check (list int))
@@ -241,13 +266,13 @@ let test_chunk_boundary_poison () =
             expect r.Infer.shape;
           Alcotest.(check int) "total counts every sample" 8 r.Infer.total)
     [ 1; 2; 4; 7; 8 ];
-  (* the strict parallel driver reports the earliest fault as a result,
+  (* a strict parallel run reports the earliest fault as a result,
      never as an exception escaping Domain.join *)
-  match Par_infer.of_json_samples ~jobs:4 texts with
+  match strict_shape ~jobs:4 Json (Samples texts) with
   | Ok _ -> Alcotest.fail "strict driver accepted a poisoned corpus"
   | Error e ->
       let seq =
-        match Infer.of_json_samples texts with
+        match strict_shape Json (Samples texts) with
         | Error e -> e
         | Ok _ -> Alcotest.fail "sequential driver accepted a poisoned corpus"
       in
@@ -462,11 +487,11 @@ let test_csv_tolerant_inference () =
       ~ragged:[]
   in
   let expect =
-    match Infer.of_csv clean with
+    match strict_shape Csv (Stream clean) with
     | Ok s -> s
     | Error e -> Alcotest.failf "clean CSV failed: %s" e
   in
-  (match Infer.of_csv_tolerant ~budget:(Diagnostic.Count 1) faulty with
+  (match Infer.run ~jobs:1 ~budget:(Diagnostic.Count 1) Csv (Stream faulty) with
   | Error e -> Alcotest.failf "tolerant CSV failed: %s" e
   | Ok r ->
       Alcotest.check shape_testable "clean-subset shape" expect r.Infer.shape;
@@ -475,7 +500,9 @@ let test_csv_tolerant_inference () =
         "quarantined data-row indices" [ 1 ]
         (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined));
   (* a structural fault stays fatal whatever the budget *)
-  match Infer.of_csv_tolerant ~budget:(Diagnostic.Count 99) "a,b\n\"x\n" with
+  match
+    Infer.run ~jobs:1 ~budget:(Diagnostic.Count 99) Csv (Stream "a,b\n\"x\n")
+  with
   | Ok _ -> Alcotest.fail "unterminated quote must stay fatal"
   | Error e ->
       Alcotest.(check bool) "names the fault" true
@@ -524,14 +551,16 @@ let test_percent_budget_end_to_end () =
         if i = 2 || i = 7 then "{\"v\":" else Printf.sprintf "{\"v\": %d}" i)
   in
   (match
-     Infer.of_json_samples_tolerant ~budget:(Diagnostic.Percent 20.) texts
+     Infer.run ~jobs:1 ~budget:(Diagnostic.Percent 20.) Json (Samples texts)
    with
   | Ok r ->
       Alcotest.(check (list int))
         "both faults quarantined" [ 2; 7 ]
         (List.map (fun q -> q.Infer.q_index) r.Infer.quarantined)
   | Error e -> Alcotest.failf "20%% budget should absorb 2/10: %s" e);
-  match Infer.of_json_samples_tolerant ~budget:(Diagnostic.Percent 10.) texts with
+  match
+    Infer.run ~jobs:1 ~budget:(Diagnostic.Percent 10.) Json (Samples texts)
+  with
   | Ok _ -> Alcotest.fail "10% budget cannot absorb 2/10"
   | Error e ->
       Alcotest.(check bool) "budget message names the first fault" true

@@ -96,7 +96,7 @@ let test_people_json () =
     (Shape.collection
        (Shape.record Dv.json_record_name
           [ ("name", string_); ("age", Shape.Nullable float_) ]))
-    (ok (Infer.of_json people))
+    (ok (strict_shape Json (Stream people)))
 
 let test_worldbank_json () =
   let wb =
@@ -117,7 +117,7 @@ let test_worldbank_json () =
                 ]),
            Mult.Single );
        ])
-    (ok (Infer.of_json wb))
+    (ok (strict_shape Json (Stream wb)))
 
 let test_xml_doc () =
   let xml =
@@ -137,7 +137,7 @@ let test_xml_doc () =
          ( Dv.body_field,
            Shape.hetero [ (Shape.top [ heading; image; p ], Mult.Multiple) ] );
        ])
-    (ok (Infer.of_xml xml))
+    (ok (strict_shape Xml (Stream xml)))
 
 let test_xml_global_attr () =
   eq "Section 6.2: root {id ↦ 1, • ↦ [item]}"
@@ -149,7 +149,7 @@ let test_xml_global_attr () =
              [ (Shape.record "item" [ (Dv.body_field, string_) ], Mult.Single) ]
          );
        ])
-    (ok (Infer.of_xml {|<root id="1"><item>Hello!</item></root>|}))
+    (ok (strict_shape Xml (Stream {|<root id="1"><item>Hello!</item></root>|})))
 
 let test_csv_ozone () =
   let csv =
@@ -168,16 +168,16 @@ let test_csv_ozone () =
             ("Date", string_);
             ("Autofilled", Shape.Primitive Shape.Bit);
           ]))
-    (ok (Infer.of_csv csv))
+    (ok (strict_shape Csv (Stream csv)))
 
 let test_format_errors () =
-  (match Infer.of_json "{ bad" with
+  (match strict_shape Json (Stream "{ bad") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad json accepted");
-  (match Infer.of_xml "<a><b></a>" with
+  (match strict_shape Xml (Stream "<a><b></a>") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad xml accepted");
-  match Infer.of_json "" with
+  match strict_shape Json (Stream "") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty json accepted"
 

@@ -89,8 +89,8 @@ let test_xml_open_world () =
 
 (* The check-subcommand semantics: another.xml conforms to sample.xml. *)
 let test_check_conformance () =
-  let sample_shape = Result.get_ok (Infer.of_xml (read "sample.xml")) in
-  let input_shape = Result.get_ok (Infer.of_xml (read "another.xml")) in
+  let sample_shape = Result.get_ok (Generators.strict_shape Xml (Stream (read "sample.xml"))) in
+  let input_shape = Result.get_ok (Generators.strict_shape Xml (Stream (read "another.xml"))) in
   check Alcotest.bool "another.xml conforms" true
     (P.is_preferred input_shape sample_shape)
 
@@ -146,7 +146,7 @@ let test_ozone () =
 let test_multi_sample_weather () =
   let full = read "weather.json" in
   let minimal = {|{ "main": { "temp": 11 }, "name": "Nowhere" }|} in
-  let shape = Result.get_ok (Infer.of_json_samples [ full; minimal ]) in
+  let shape = Result.get_ok (Generators.strict_shape Json (Samples [ full; minimal ])) in
   let p = Provide.provide shape in
   List.iter
     (fun text ->

@@ -10,7 +10,6 @@ module Trace = Fsdata_obs.Trace
 module Metrics = Fsdata_obs.Metrics
 module Shape = Fsdata_core.Shape
 module Infer = Fsdata_core.Infer
-module Par = Fsdata_core.Par_infer
 module Json = Fsdata_data.Json
 module Dv = Fsdata_data.Data_value
 open Generators
@@ -242,26 +241,50 @@ let test_trace_json_parses () =
 (* ----- ingest counters reconcile ----- *)
 
 let test_ingest_reconciliation () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
   let budget = Fsdata_data.Diagnostic.Count 5 in
+  (* both faults re-balance their brackets, so a stream resynchronizes
+     right after each and sees the same five documents as the samples *)
   let texts =
-    [
-      "{\"a\": 1}"; "{\"a\":"; "{\"a\": 2}"; "nonsense{"; "{\"a\": 3}";
-    ]
+    [ "{\"a\": 1}"; "{\"a\" 2}"; "{\"a\": 2}"; "[1, tru]"; "{\"a\": 3}" ]
   in
-  (match Infer.of_json_samples_tolerant ~budget texts with
-  | Ok r ->
-      check Alcotest.int "two quarantined" 2 (List.length r.Infer.quarantined)
-  | Error e -> Alcotest.fail e);
-  Metrics.set_enabled false;
-  let v name = Metrics.value (Metrics.counter name) in
-  check Alcotest.int "total = clean + quarantined"
-    (v "ingest.samples_total")
-    (v "ingest.samples_clean" + v "ingest.samples_quarantined");
-  check Alcotest.int "total counts every sample" 5 (v "ingest.samples_total");
-  check Alcotest.int "quarantined counts the faults" 2
-    (v "ingest.samples_quarantined");
+  let src = String.concat "\n" texts in
+  let counts label source =
+    Metrics.reset ();
+    Metrics.set_enabled true;
+    let result = Infer.run ~jobs:1 ~budget Json source in
+    Metrics.set_enabled false;
+    (match result with
+    | Ok r ->
+        check Alcotest.int (label ^ ": two quarantined") 2
+          (List.length r.Infer.quarantined)
+    | Error e -> Alcotest.fail e);
+    let v name = Metrics.value (Metrics.counter name) in
+    check Alcotest.int
+      (label ^ ": total = clean + quarantined")
+      (v "ingest.samples_total")
+      (v "ingest.samples_clean" + v "ingest.samples_quarantined");
+    check Alcotest.int (label ^ ": total counts every sample") 5
+      (v "ingest.samples_total");
+    check Alcotest.int (label ^ ": quarantined counts the faults") 2
+      (v "ingest.samples_quarantined");
+    List.map v
+      [
+        "parse.json.documents";
+        "ingest.samples_total";
+        "ingest.samples_clean";
+        "ingest.samples_quarantined";
+      ]
+  in
+  let samples = counts "samples" (Samples texts) in
+  check
+    Alcotest.(list int)
+    "a stream counts what the samples count" samples
+    (counts "stream" (Stream src));
+  check
+    Alcotest.(list int)
+    "a feed counts what the samples count" samples
+    (counts "feed"
+       (Feed (fun push -> String.iter (fun c -> push (String.make 1 c)) src)));
   Metrics.reset ()
 
 (* ----- observability never changes the pipeline's answer ----- *)
@@ -275,9 +298,9 @@ let prop_tracing_preserves_shapes jobs =
     ~print:(fun ds -> String.concat " | " (List.map print_data ds))
     QCheck2.Gen.(list_size (int_range 1 12) gen_data)
     (fun ds ->
-      let plain = Par.shape_of_samples ~mode:`Practical ~jobs ds in
+      let plain = Infer.shape_of_samples_par ~mode:`Practical ~jobs ds in
       let observed, _spans =
-        traced (fun () -> Par.shape_of_samples ~mode:`Practical ~jobs ds)
+        traced (fun () -> Infer.shape_of_samples_par ~mode:`Practical ~jobs ds)
       in
       Shape.equal plain observed)
 

@@ -1,4 +1,4 @@
-(* Parallel chunked shape inference (Par_infer).
+(* Parallel chunked shape inference (Infer.run and its dispatcher).
 
    The parallel path is a balanced csh tree reduction over per-chunk
    folds, so it computes the same shape as the sequential left fold of
@@ -13,7 +13,6 @@
 module Shape = Fsdata_core.Shape
 module Csh = Fsdata_core.Csh
 module Infer = Fsdata_core.Infer
-module Par = Fsdata_core.Par_infer
 module Dv = Fsdata_data.Data_value
 open Generators
 
@@ -80,7 +79,7 @@ let prop_seq_eq_par (name, mode) =
     (fun ds ->
       let seq = Infer.shape_of_samples ~mode ds in
       List.for_all
-        (fun k -> Shape.equal (Par.shape_of_samples ~mode ~jobs:k ds) seq)
+        (fun k -> Shape.equal (Infer.shape_of_samples_par ~mode ~jobs:k ds) seq)
         [ 1; 2; 7 ])
 
 (* Shapes must come from the inference mode that matches the merge mode
@@ -98,7 +97,7 @@ let prop_csh_tree_eq_fold (name, imode, cmode) =
     (fun ds ->
       let shapes = List.map (Infer.shape_of_value ~mode:imode) ds in
       Shape.equal
-        (Par.csh_tree ~mode:cmode shapes)
+        (Infer.csh_tree ~mode:cmode shapes)
         (Csh.csh_all ~mode:cmode shapes))
 
 (* ----- regressions ----- *)
@@ -113,7 +112,7 @@ let test_empty () =
       check shape_testable
         (name ^ ": no samples infer bottom, in parallel")
         Shape.Bottom
-        (Par.shape_of_samples ~mode ~jobs:4 []))
+        (Infer.shape_of_samples_par ~mode ~jobs:4 []))
     modes
 
 let test_single_sample () =
@@ -126,7 +125,7 @@ let test_single_sample () =
       check shape_testable
         (name ^ ": one sample, many jobs")
         (Infer.shape_of_samples ~mode [ d ])
-        (Par.shape_of_samples ~mode ~jobs:4 [ d ]))
+        (Infer.shape_of_samples_par ~mode ~jobs:4 [ d ]))
     modes
 
 let test_more_jobs_than_samples () =
@@ -136,7 +135,7 @@ let test_more_jobs_than_samples () =
       check shape_testable
         (name ^ ": jobs exceed sample count")
         (Infer.shape_of_samples ~mode ds)
-        (Par.shape_of_samples ~mode ~jobs:64 ds))
+        (Infer.shape_of_samples_par ~mode ~jobs:64 ds))
     modes
 
 (* Every chunk infers a different labelled-top arm, so the tree merge
@@ -154,7 +153,7 @@ let test_chunks_hit_distinct_top_arms () =
   List.iter
     (fun (name, mode) ->
       let seq = Infer.shape_of_samples ~mode ds in
-      let par = Par.shape_of_samples ~mode ~jobs:5 ds in
+      let par = Infer.shape_of_samples_par ~mode ~jobs:5 ds in
       check shape_testable (name ^ ": five one-sample chunks") seq par;
       match par with
       | Shape.Top labels ->
@@ -167,33 +166,33 @@ let test_chunks_hit_distinct_top_arms () =
 
 let test_chunk () =
   let c = Alcotest.(check (list (list int))) in
-  c "chunk 1 is the whole list" [ [ 1; 2; 3 ] ] (Par.chunk 1 [ 1; 2; 3 ]);
-  c "chunk of nothing is no chunks" [] (Par.chunk 4 []);
+  c "chunk 1 is the whole list" [ [ 1; 2; 3 ] ] (Infer.chunk 1 [ 1; 2; 3 ]);
+  c "chunk of nothing is no chunks" [] (Infer.chunk 4 []);
   c "remainder spreads over the first chunks"
     [ [ 1; 2; 3 ]; [ 4; 5 ] ]
-    (Par.chunk 2 [ 1; 2; 3; 4; 5 ]);
+    (Infer.chunk 2 [ 1; 2; 3; 4; 5 ]);
   c "more jobs than elements: singleton chunks"
     [ [ 1 ]; [ 2 ] ]
-    (Par.chunk 5 [ 1; 2 ]);
+    (Infer.chunk 5 [ 1; 2 ]);
   let xs = List.init 97 Fun.id in
   Alcotest.(check (list int))
     "concatenating chunks restores the list" xs
-    (List.concat (Par.chunk 7 xs));
+    (List.concat (Infer.chunk 7 xs));
   Alcotest.check_raises "zero jobs rejected"
-    (Invalid_argument "Par_infer.chunk: k must be positive") (fun () ->
-      ignore (Par.chunk 0 [ 1 ]))
+    (Invalid_argument "Infer.chunk: k must be positive") (fun () ->
+      ignore (Infer.chunk 0 [ 1 ]))
 
 let test_csh_tree_edges () =
-  check shape_testable "empty tree is bottom" Shape.Bottom (Par.csh_tree []);
+  check shape_testable "empty tree is bottom" Shape.Bottom (Infer.csh_tree []);
   let s = Shape.collection (Shape.Primitive Shape.Int) in
-  check shape_testable "singleton tree is its shape" s (Par.csh_tree [ s ])
+  check shape_testable "singleton tree is its shape" s (Infer.csh_tree [ s ])
 
 (* Parallel parsing reports the same (earliest) error as the sequential
    driver, even when a later chunk also fails. *)
 let test_error_semantics () =
   let texts = [ "{\"a\": 1}"; "nope"; "{\"b\": 2}"; "]" ] in
   let result = Alcotest.(result shape_testable string) in
-  let seq = Infer.of_json_samples texts in
+  let seq = strict_shape Json (Samples texts) in
   (match seq with
   | Error _ -> ()
   | Ok s -> Alcotest.failf "sequential driver accepted bad corpus: %s"
@@ -203,13 +202,13 @@ let test_error_semantics () =
       check result
         (Printf.sprintf "earliest parse error wins at jobs=%d" jobs)
         seq
-        (Par.of_json_samples ~jobs texts))
+        (strict_shape ~jobs Json (Samples texts)))
     [ 1; 2; 4; 64 ];
   (* a good corpus round-trips identically *)
   let good = [ "{\"a\": 1}"; "{\"a\": null, \"b\": [1, 2]}"; "3.5" ] in
   check result "good corpus agrees with the sequential driver"
-    (Infer.of_json_samples good)
-    (Par.of_json_samples ~jobs:3 good)
+    (strict_shape Json (Samples good))
+    (strict_shape ~jobs:3 Json (Samples good))
 
 (* Streaming entry point: chunked parse + parallel inference agrees with
    the all-at-once sequential driver, across chunk sizes that do and do
@@ -224,18 +223,18 @@ let test_streaming_of_json () =
         | _ -> Printf.sprintf "[%d, true]" i)
   in
   let src = String.concat "\n" docs in
-  let seq = Infer.of_json_samples docs in
+  let seq = strict_shape Json (Samples docs) in
   let result = Alcotest.(result shape_testable string) in
   List.iter
     (fun (jobs, chunk_size) ->
       check result
-        (Printf.sprintf "of_json jobs=%d chunk_size=%d" jobs chunk_size)
+        (Printf.sprintf "stream jobs=%d chunk_size=%d" jobs chunk_size)
         seq
-        (Par.of_json ~jobs ~chunk_size src))
+        (strict_shape ~jobs ~chunk_size Json (Stream src)))
     [ (1, 7); (2, 10); (4, 5); (4, 100) ];
   check result "empty stream is an error"
     (Error "no JSON sample documents found")
-    (Par.of_json ~jobs:4 "  \n ")
+    (strict_shape ~jobs:4 Json (Stream "  \n "))
 
 let suite =
   [

@@ -39,7 +39,7 @@ let parse_exn q =
   | Error m -> Alcotest.fail m
 
 let infer_exn src =
-  match Infer.of_json src with
+  match strict_shape Json (Stream src) with
   | Ok s -> Shape.hcons s
   | Error m -> Alcotest.fail m
 

@@ -6,7 +6,6 @@ module Server = Fsdata_serve.Server
 module Http = Fsdata_serve.Http
 module Cache = Fsdata_serve.Cache
 module Shape = Fsdata_core.Shape
-module Par_infer = Fsdata_core.Par_infer
 module Dv = Fsdata_data.Data_value
 module Json = Fsdata_data.Json
 
@@ -180,7 +179,7 @@ let test_infer_matches_cli_path () =
   let resp = Server.handle (server ()) (request ~body:corpus "/infer") in
   check Alcotest.int "200" 200 resp.Http.status;
   let expected =
-    match Par_infer.of_json ~jobs:1 corpus with
+    match Generators.strict_shape Json (Stream corpus) with
     | Ok s -> Fmt.str "%a" Shape.pp s
     | Error m -> Alcotest.fail m
   in
