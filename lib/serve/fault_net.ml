@@ -81,3 +81,13 @@ let write_substring t fd s pos len =
       fire t fault (fun () ->
           Unix.write_substring fd s pos
             (Stdlib.min len (Mutex.protect t.lock (fun () -> t.max_write))))
+
+let write_all t fd s =
+  let len = String.length s in
+  let rec go pos =
+    if pos < len then
+      match write_substring t fd s pos (len - pos) with
+      | n -> go (pos + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+  in
+  go 0

@@ -53,3 +53,7 @@ val read : t option -> Unix.file_descr -> bytes -> int -> int -> int
 
 val write_substring : t option -> Unix.file_descr -> string -> int -> int -> int
 (** [Unix.write_substring] through the shim. *)
+
+val write_all : t option -> Unix.file_descr -> string -> unit
+(** Write the whole string through the shim, one {!write_substring} per
+    partial write, retrying [EINTR]. *)

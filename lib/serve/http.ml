@@ -2,59 +2,108 @@
 
 (* ----- readers ----- *)
 
-(* A reader holds the unconsumed tail of the stream plus a refill
-   function; [""] from refill means end of stream. Reads from sockets
+(* A reader is the window [pos, lim) of unconsumed bytes in [buf] plus
+   the fd it refills from. An in-memory reader has no fd, and its [buf]
+   is the caller's string itself, never written: only refills write
+   into [buf], and such a reader never refills. Reads from sockets
    propagate [Unix_error] (in particular EAGAIN/EWOULDBLOCK when a
-   receive timeout is set on the fd) out of [refill]; an expired
-   deadline surfaces as [Deadline.Expired]. [refill] is a mutable field
-   only to tie the recursive knot with the deadline the reader itself
-   carries. *)
+   receive timeout is set on the fd); an expired deadline surfaces as
+   [Deadline.Expired]. *)
 type reader = {
-  mutable refill : unit -> string;
-  mutable pending : string;
-  mutable pos : int;  (* consumed prefix of [pending] *)
+  src : (Fault_net.t option * Unix.file_descr) option;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable lim : int;
   mutable deadline : Deadline.t;
+  mutable continue_owed : bool;
+      (* an [Expect: 100-continue] request passed admission and its
+         client is still waiting for the interim response *)
 }
+
+let refill_size = 8192
+let continue_sent = Fsdata_obs.Metrics.counter "serve.continue_sent"
 
 let set_deadline r d = r.deadline <- d
 
 let reader_of_fd ?fault fd =
-  let buf = Bytes.create 8192 in
-  let r = { refill = (fun () -> ""); pending = ""; pos = 0; deadline = Deadline.never } in
-  let rec refill () =
-    (* The deadline is absolute, so a peer trickling one byte per
-       receive-timeout window (slowloris) still runs out of time: each
-       refill both checks expiry and shrinks the socket timeout to the
-       time actually left. *)
-    Deadline.check r.deadline;
-    (match Deadline.remaining_seconds r.deadline with
-    | s when s = infinity -> ()
-    | s -> (
-        try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max 0.001 s)
-        with Unix.Unix_error _ | Invalid_argument _ -> ()));
-    match Fault_net.read fault fd buf 0 (Bytes.length buf) with
-    | 0 -> ""
-    | n -> Bytes.sub_string buf 0 n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill ()
-  in
-  r.refill <- refill;
-  r
+  {
+    src = Some (fault, fd);
+    buf = Bytes.create refill_size;
+    pos = 0;
+    lim = 0;
+    deadline = Deadline.never;
+    continue_owed = false;
+  }
 
 let reader_of_string s =
-  { refill = (fun () -> ""); pending = s; pos = 0; deadline = Deadline.never }
+  {
+    src = None;
+    buf = Bytes.unsafe_of_string s;
+    pos = 0;
+    lim = String.length s;
+    deadline = Deadline.never;
+    continue_owed = false;
+  }
 
-let available r = String.length r.pending - r.pos
+let available r = r.lim - r.pos
 
-(* Append one refill's worth of bytes; false at end of stream. *)
+(* One read of at most [len] bytes into [dst] at [off]; 0 at end of
+   stream. The deadline is absolute, so a peer trickling one byte per
+   receive-timeout window (slowloris) still runs out of time: each read
+   both checks expiry and shrinks the socket timeout to the time
+   actually left. *)
+let rec read_into r dst off len =
+  match r.src with
+  | None -> 0
+  | Some (fault, fd) -> (
+      Deadline.check r.deadline;
+      (match Deadline.remaining_seconds r.deadline with
+      | s when s = infinity -> ()
+      | s -> (
+          try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max 0.001 s)
+          with Unix.Unix_error _ | Invalid_argument _ -> ()));
+      match Fault_net.read fault fd dst off len with
+      | n -> n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_into r dst off len)
+
+(* Append one refill's worth of bytes at [lim]; false at end of stream.
+   Room comes from sliding the unconsumed bytes to the front, and the
+   buffer doubles only when they fill it, so no byte is copied more
+   than a constant number of times. *)
 let grow r =
-  match r.refill () with
-  | "" -> false
-  | more ->
-      r.pending <-
-        (if r.pos = 0 then r.pending ^ more
-         else String.sub r.pending r.pos (available r) ^ more);
-      if r.pos <> 0 then r.pos <- 0;
-      true
+  Option.is_some r.src
+  && begin
+       let avail = available r in
+       if Bytes.length r.buf - r.lim < refill_size then begin
+         let buf =
+           if Bytes.length r.buf - avail >= refill_size then r.buf
+           else Bytes.create (2 * Bytes.length r.buf)
+         in
+         Bytes.blit r.buf r.pos buf 0 avail;
+         r.buf <- buf;
+         r.pos <- 0;
+         r.lim <- avail
+       end;
+       match read_into r r.buf r.lim refill_size with
+       | 0 -> false
+       | n ->
+           r.lim <- r.lim + n;
+           true
+     end
+
+(* The interim response an [Expect: 100-continue] client waits for
+   before sending its body: owed once the request passed admission,
+   written just before the first refill that needs body bytes, so a
+   handler that answers without the body never asks for it. *)
+let pay_continue r =
+  if r.continue_owed then begin
+    r.continue_owed <- false;
+    match r.src with
+    | None -> ()
+    | Some (fault, fd) ->
+        Fault_net.write_all fault fd "HTTP/1.1 100 Continue\r\n\r\n";
+        Fsdata_obs.Metrics.incr continue_sent
+  end
 
 (* ----- request parsing ----- *)
 
@@ -92,13 +141,17 @@ let bad status reason = raise (Bad { status; reason })
    like most servers); the returned line has the terminator stripped.
    [None] at end of stream with nothing buffered. *)
 let read_line ~max_len r =
-  let find_nl from = String.index_from_opt r.pending from '\n' in
+  let rec find_nl i =
+    if i >= r.lim then None
+    else if Bytes.get r.buf i = '\n' then Some i
+    else find_nl (i + 1)
+  in
   let rec go scanned =
     match find_nl (r.pos + scanned) with
     | Some i ->
         if i - r.pos > max_len then bad 431 "header or request line too long";
-        let stop = if i > r.pos && r.pending.[i - 1] = '\r' then i - 1 else i in
-        let line = String.sub r.pending r.pos (stop - r.pos) in
+        let stop = if i > r.pos && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
+        let line = Bytes.sub_string r.buf r.pos (stop - r.pos) in
         r.pos <- i + 1;
         Some line
     | None ->
@@ -110,14 +163,30 @@ let read_line ~max_len r =
   in
   go 0
 
+(* The next [n] body bytes. Bytes past what is buffered are read
+   straight into the result, so a body is copied once whatever its
+   size. *)
 let read_exact r n =
-  while available r < n && grow r do
-    ()
-  done;
-  if available r < n then bad 400 "truncated body: peer closed mid-request";
-  let s = String.sub r.pending r.pos n in
-  r.pos <- r.pos + n;
-  s
+  let have = available r in
+  if have >= n then begin
+    let s = Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
+  end
+  else begin
+    let out = Bytes.create n in
+    Bytes.blit r.buf r.pos out 0 have;
+    r.pos <- r.lim;
+    pay_continue r;
+    let rec fill got =
+      if got < n then
+        match read_into r out got (Stdlib.min refill_size (n - got)) with
+        | 0 -> bad 400 "truncated body: peer closed mid-request"
+        | k -> fill (got + k)
+    in
+    fill have;
+    Bytes.unsafe_to_string out
+  end
 
 let hex_value c =
   match c with
@@ -193,6 +262,27 @@ let parse_header line =
 let find_header headers name =
   List.assoc_opt (String.lowercase_ascii name) headers
 
+(* Whether the request carries [Expect: 100-continue]: every member of
+   every [Expect] header, compared case-insensitively, must be
+   [100-continue], the only expectation RFC 9110 §10.1.1 defines;
+   anything else is a 417. *)
+let expects_continue headers =
+  let members =
+    List.concat_map
+      (fun (name, value) ->
+        if name <> "expect" then []
+        else
+          String.split_on_char ',' value
+          |> List.filter_map (fun m ->
+                 match String.lowercase_ascii (String.trim m) with
+                 | "" -> None
+                 | m -> Some m))
+      headers
+  in
+  match List.find_opt (( <> ) "100-continue") members with
+  | Some m -> bad 417 (Printf.sprintf "unsupported expectation %S" m)
+  | None -> members <> []
+
 let header req name = find_header req.headers name
 let query_param req name = List.assoc_opt name req.query
 
@@ -214,10 +304,12 @@ let read_body_chunk rest =
   if rest.remaining = 0 then ""
   else begin
     let r = rest.br in
-    if available r = 0 && not (grow r) then
-      bad 400 "truncated body: peer closed mid-request";
+    if available r = 0 then begin
+      pay_continue r;
+      if not (grow r) then bad 400 "truncated body: peer closed mid-request"
+    end;
     let n = Stdlib.min (available r) rest.remaining in
-    let s = String.sub r.pending r.pos n in
+    let s = Bytes.sub_string r.buf r.pos n in
     r.pos <- r.pos + n;
     rest.remaining <- rest.remaining - n;
     s
@@ -254,6 +346,7 @@ let read_request_stream ?(limits = default_limits) ?reserve
     let headers = read_headers [] 0 in
     if find_header headers "transfer-encoding" <> None then
       bad 501 "transfer-encoding is not supported; send Content-Length";
+    let expects_continue = version = `Http_1_1 && expects_continue headers in
     (* A client-supplied deadline must govern the body bytes too, so
        tighten the reader before the body is read (the server re-derives
        the same minimum for the handler). Malformed values are ignored
@@ -286,6 +379,9 @@ let read_request_stream ?(limits = default_limits) ?reserve
               | Some f when n > 0 && not (f n) ->
                   bad 503 "in-flight body budget exhausted"
               | _ -> ());
+              (* body bytes already in hand mean the client went ahead
+                 without waiting for the interim *)
+              r.continue_owed <- expects_continue && n > 0 && available r = 0;
               if n > stream_over then ("", Some { br = r; remaining = n })
               else (read_exact r n, None))
     in
@@ -334,6 +430,7 @@ let response ?(headers = []) ?(content_type = "application/json") ~status body =
   { status; resp_headers = headers; content_type; resp_body = body }
 
 let status_reason = function
+  | 100 -> "Continue"
   | 200 -> "OK"
   | 204 -> "No Content"
   | 400 -> "Bad Request"
@@ -343,6 +440,7 @@ let status_reason = function
   | 408 -> "Request Timeout"
   | 409 -> "Conflict"
   | 413 -> "Content Too Large"
+  | 417 -> "Expectation Failed"
   | 422 -> "Unprocessable Content"
   | 431 -> "Request Header Fields Too Large"
   | 500 -> "Internal Server Error"

@@ -4,9 +4,11 @@
 
     Supported: request parsing with size limits, percent-decoded paths
     and query strings, [Content-Length] bodies, keep-alive (HTTP/1.1
-    default, HTTP/1.0 opt-in) and [Connection: close]. Out of scope, and
-    rejected with the proper status: [Transfer-Encoding] bodies (501)
-    and unknown protocol versions (505).
+    default, HTTP/1.0 opt-in), [Connection: close], and
+    [Expect: 100-continue] (HTTP/1.1 only; the interim response is sent
+    after admission, when the body is first needed). Out of scope, and
+    rejected with the proper status: [Transfer-Encoding] bodies (501),
+    any other expectation (417) and unknown protocol versions (505).
 
     The parser reads from a {!reader}, an abstraction over a buffered
     byte source, so the unit tests drive it with in-memory strings and
@@ -17,11 +19,13 @@
 type reader
 
 val reader_of_fd : ?fault:Fault_net.t -> Unix.file_descr -> reader
-(** Buffered reads from a socket or file. A receive timeout configured
-    on the fd ([SO_RCVTIMEO]) surfaces as [Unix_error (EAGAIN | EWOULDBLOCK)]
-    from the underlying [read]; {!read_request} maps it to 408 or to a
-    clean end-of-stream depending on whether a request was underway.
-    [EINTR] is retried transparently. With [fault], all reads go
+(** Buffered reads from a socket or file, 8 KiB per read. A receive
+    timeout configured on the fd ([SO_RCVTIMEO]) surfaces as
+    [Unix_error (EAGAIN | EWOULDBLOCK)] from the underlying [read];
+    {!read_request} maps it to 408 or to a clean end-of-stream
+    depending on whether a request was underway. [EINTR] is retried
+    transparently. The reader also writes the [100 Continue] interim
+    response to the fd. With [fault], all reads and that write go
     through the {!Fault_net} shim (chaos tests only). *)
 
 val set_deadline : reader -> Deadline.t -> unit
@@ -33,8 +37,9 @@ val set_deadline : reader -> Deadline.t -> unit
     {!Deadline.never}. *)
 
 val reader_of_string : string -> reader
-(** The whole stream up front; used by the parser unit tests and capable
-    of holding several pipelined requests. *)
+(** The whole stream up front, read in place without a copy; used by
+    the parser unit tests and capable of holding several pipelined
+    requests. It has no peer, so it never writes an interim response. *)
 
 (** {1 Requests} *)
 
@@ -61,8 +66,8 @@ val default_limits : limits
 
 type error = { status : int; reason : string }
 (** A request that could not be parsed, with the response status that
-    should be sent before closing the connection (400, 408, 413, 431,
-    501, 505 — or 503 when admission control refused the body). *)
+    should be sent before closing the connection (400, 408, 413, 417,
+    431, 501, 505 — or 503 when admission control refused the body). *)
 
 exception Bad of error
 (** How parse failures travel inside the reader functions.
@@ -94,7 +99,18 @@ val read_request_stream :
     ("in-flight body budget exhausted"), the server's admission
     control. Bodies larger than [stream_over] (default [max_int]) are
     not buffered: the request comes back with [body = ""] and a
-    {!body_rest} to pull incrementally. A well-formed
+    {!body_rest} to pull incrementally.
+
+    An HTTP/1.1 request with [Expect: 100-continue] (matched
+    case-insensitively; any other expectation is a 417) and a non-zero
+    [Content-Length] that passes the 413 limit and [reserve] is owed
+    [HTTP/1.1 100 Continue]. The reader writes it once, right before
+    the first read that needs body bytes: inside this call for a
+    buffered body, in the first {!read_body_chunk} that refills for a
+    streamed one. So a handler that answers without the body never
+    asks the client for it. Nothing is owed when body bytes have
+    already arrived, and HTTP/1.0 requests never owe it. Each interim
+    counts in [serve.continue_sent]. A well-formed
     [X-Fsdata-Deadline-Ms] header tightens the reader deadline before
     the body is read, so a client budget cuts slow body bytes too;
     malformed values are left in the request for the server to
@@ -107,7 +123,8 @@ val read_body_chunk : body_rest -> string
 (** The next chunk of the body, at most one buffered read's worth;
     [""] once the declared length is consumed. Raises like the header
     reads: [Bad] 400 if the peer closes mid-body, [Unix_error] on
-    receive timeout, {!Deadline.Expired} past the reader deadline. *)
+    receive timeout or when the owed interim cannot be written,
+    {!Deadline.Expired} past the reader deadline. *)
 
 val read_body_all : body_rest -> string
 (** Drain the rest of the body into one string. *)

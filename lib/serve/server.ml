@@ -1152,30 +1152,32 @@ let route t ~cancel ~deadline ~rest req =
   match req.Http.path with
   | "/infer" -> handle_infer t ~cancel ~rest req
   | p -> (
-      (* only /infer streams; any other endpoint needs the whole body *)
-      let req =
-        match rest with
-        | None -> req
-        | Some rest -> { req with Http.body = Http.read_body_all rest }
+      let handler =
+        match p with
+        | "/check" -> Some (handle_checkish t ~explain:false)
+        | "/explain" -> Some (handle_checkish t ~explain:true)
+        | "/metrics" -> Some handle_metrics
+        | "/healthz" -> Some (handle_healthz t)
+        | "/cache/invalidate" -> Some (handle_cache_invalidate t)
+        | "/query" -> Some (handle_query t ~cancel)
+        | p -> (
+            match split_stream_path p with
+            | Some (name, "push") -> Some (handle_stream_push t ~cancel name)
+            | Some (name, "query") -> Some (handle_stream_query t ~cancel name)
+            | Some (name, "shape") -> Some (handle_stream_shape t name)
+            | Some (name, "history") -> Some (handle_stream_history t name)
+            | Some (name, "diff") -> Some (handle_stream_diff t name)
+            | Some (name, "migrate") -> Some (handle_stream_migrate t name)
+            | Some (name, "watch") -> Some (handle_stream_watch t ~deadline name)
+            | Some (name, "hooks") -> Some (handle_stream_hooks t name)
+            | _ -> None)
       in
-      match p with
-      | "/check" -> handle_checkish t ~explain:false req
-      | "/explain" -> handle_checkish t ~explain:true req
-      | "/metrics" -> handle_metrics req
-      | "/healthz" -> handle_healthz t req
-      | "/cache/invalidate" -> handle_cache_invalidate t req
-      | "/query" -> handle_query t ~cancel req
-      | p -> (
-          match split_stream_path p with
-          | Some (name, "push") -> handle_stream_push t ~cancel name req
-          | Some (name, "query") -> handle_stream_query t ~cancel name req
-          | Some (name, "shape") -> handle_stream_shape t name req
-          | Some (name, "history") -> handle_stream_history t name req
-          | Some (name, "diff") -> handle_stream_diff t name req
-          | Some (name, "migrate") -> handle_stream_migrate t name req
-          | Some (name, "watch") -> handle_stream_watch t ~deadline name req
-          | Some (name, "hooks") -> handle_stream_hooks t name req
-          | _ -> json_error 404 (Printf.sprintf "no such endpoint %s" p)))
+      match (handler, rest) with
+      | None, _ -> json_error 404 (Printf.sprintf "no such endpoint %s" p)
+      | Some h, None -> h req
+      (* only /infer streams; any other endpoint needs the whole body,
+         pulled only once the path is known, so a 404 leaves it unsent *)
+      | Some h, Some rest -> h { req with Http.body = Http.read_body_all rest })
 
 let request_counter p =
   if String.starts_with ~prefix:"/streams/" p then req_stream
@@ -1212,6 +1214,14 @@ let handle ?(cancel = Fsdata_data.Cancel.never) ?(deadline = Deadline.never)
     | exception Http.Bad e ->
         (* a streamed body cut short: the peer closed mid-request *)
         json_error e.Http.status e.Http.reason
+    | exception
+        ((Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+         | Fault_net.Worker_killed) as e) ->
+        (* the peer is gone (a body read or the 100 Continue write
+           failed), or a worker crash: nobody to answer, the connection
+           loop ends the connection *)
+        Metrics.gauge_add inflight (-1.0);
+        raise e
     | exception e -> json_error 500 (Printexc.to_string e)
   in
   Metrics.observe latency_ms
@@ -1224,15 +1234,6 @@ let handle ?(cancel = Fsdata_data.Cancel.never) ?(deadline = Deadline.never)
   resp
 
 (* --- connection handling --- *)
-
-let write_all ?fault fd s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    match Fault_net.write_substring fault fd s !pos (len - !pos) with
-    | n -> pos := !pos + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
 
 (* The client may tighten (never extend) the server deadline for its
    request. *)
@@ -1274,7 +1275,7 @@ let serve_connection t fd =
        end
   in
   let send ~keep_alive resp =
-    write_all ?fault fd (Http.serialize_response ~keep_alive resp)
+    Fault_net.write_all fault fd (Http.serialize_response ~keep_alive resp)
   in
   let rec loop () =
     (* the deadline covers the whole request: header read, body read
@@ -1488,7 +1489,7 @@ let run ?stop ?on_ready cfg =
             if not (queue_try_push q fd) then begin
               Metrics.incr resp_5xx;
               Metrics.incr shed_total;
-              (try write_all fd overloaded with Unix.Unix_error _ -> ());
+              (try Fault_net.write_all None fd overloaded with Unix.Unix_error _ -> ());
               try Unix.close fd with Unix.Unix_error _ -> ()
             end
         | exception

@@ -187,14 +187,24 @@ val handle :
   t ->
   Http.request ->
   Http.response
-(** Route and answer one parsed request. Total: handler exceptions
-    become a 500 with an [{"error": ...}] body — except the deadline
-    family, which maps to 504 ([Cancel.Cancelled] from a driver) or 408
-    ([Deadline.Expired] / receive timeout while pulling [rest]). [rest]
-    is a body still on the wire ({!Http.read_request_stream}): JSON
-    [/infer] consumes it incrementally, everything else drains it
-    first. [deadline] (default: never) bounds how long a [/watch]
-    long-poll may park. *)
+(** Route and answer one parsed request. Handler exceptions become a
+    500 with an [{"error": ...}] body — except the deadline family,
+    which maps to 504 ([Cancel.Cancelled] from a driver) or 408
+    ([Deadline.Expired] / receive timeout while pulling [rest]), and a
+    peer gone while pulling [rest] ([EPIPE]/[ECONNRESET], e.g. on the
+    [100 Continue] write) or {!Fault_net.Worker_killed}, which propagate
+    so the connection loop drops the connection. [rest] is a body still
+    on the wire ({!Http.read_request_stream}): JSON [/infer] consumes it
+    incrementally, every other known endpoint drains it first, and an
+    unknown path answers 404 without reading it. [deadline] (default:
+    never) bounds how long a [/watch] long-poll may park. *)
+
+val serve_connection : t -> Unix.file_descr -> unit
+(** Serve one accepted connection until it closes, then close the fd:
+    the keep-alive loop of {!run}'s workers, with the configured
+    timeouts, per-request deadlines and admission control. Socket
+    faults end the connection quietly; anything else is re-raised
+    after the in-flight budget and the fd are released. *)
 
 val run : ?stop:bool Atomic.t -> ?on_ready:(int -> unit) -> config -> unit
 (** Bind, print ["fsdata: serving on http://HOST:PORT"] on stdout, and

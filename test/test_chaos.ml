@@ -617,6 +617,63 @@ let test_worker_kill_respawn () =
           (recv_response fd).status
       done)
 
+(* ----- the 100 Continue write fails ----- *)
+
+let inflight_bytes () =
+  Metrics.gauge_value (Metrics.gauge "serve.inflight_bytes")
+
+(* POST [body] the way curl does with a large one: the head with
+   [Expect: 100-continue], then the body only after the interim. *)
+let send_expect_head fd body =
+  send_all fd
+    (Printf.sprintf
+       "POST /infer HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: %d\r\n\r\n"
+       (String.length body))
+
+let expect_continue_post fd body =
+  send_expect_head fd body;
+  let interim = recv_response fd in
+  send_all fd body;
+  (interim.status, (recv_response fd).status)
+
+let test_interim_write_faults () =
+  (* [corpus] streams past the 32-byte threshold, "{}" stays buffered:
+     the interim is written from the handler and from the reader *)
+  let fault = Fault_net.create () in
+  let cfg =
+    { base_cfg with Server.fault = Some fault; Server.stream_threshold = 32 }
+  in
+  with_server ~cfg (fun ~port ~stop:_ ->
+      let budget = inflight_bytes () in
+      let crashes = counter_value "serve.worker.crashes" in
+      List.iter
+        (fun (what, f, body) ->
+          Fault_net.inject_write fault [ f ];
+          let fd = connect port in
+          send_expect_head fd body;
+          (match recv_response fd with
+          | r -> Alcotest.failf "%s: expected a drop, got %d" what r.status
+          | exception Failure _ -> ());
+          close_quiet fd;
+          nap 0.05 (* a killed worker respawns after 10ms *);
+          check (Alcotest.float 0.) (what ^ ": budget released") budget
+            (inflight_bytes ());
+          let fd = connect port in
+          Fun.protect ~finally:(fun () -> close_quiet fd) @@ fun () ->
+          check
+            (Alcotest.pair Alcotest.int Alcotest.int)
+            (what ^ ": the next connection is served")
+            (100, 200)
+            (expect_continue_post fd body))
+        [
+          ("EPIPE, buffered", Fault_net.Error Unix.EPIPE, "{}");
+          ("EPIPE, streamed", Fault_net.Error Unix.EPIPE, corpus);
+          ("kill, buffered", Fault_net.Kill, "{}");
+          ("kill, streamed", Fault_net.Kill, corpus);
+        ];
+      check Alcotest.int "each kill was a supervised crash" (crashes + 2)
+        (counter_value "serve.worker.crashes"))
+
 (* ----- keep-alive discipline and drain ----- *)
 
 let test_keep_alive_after_4xx () =
@@ -724,6 +781,8 @@ let suite =
       test_injected_faults_survive;
     tc "clients hanging up early are harmless" `Quick test_early_close_survives;
     tc "a killed worker is respawned" `Quick test_worker_kill_respawn;
+    tc "a failed 100 Continue write drops one connection" `Quick
+      test_interim_write_faults;
     tc "keep-alive interleaves across 4xx responses" `Quick
       test_keep_alive_after_4xx;
     tc "drain: healthz 503, responses close, port file removed" `Quick

@@ -3,6 +3,8 @@
    same code path the live server runs on sockets. *)
 
 module Http = Fsdata_serve.Http
+module Fault_net = Fsdata_serve.Fault_net
+module Metrics = Fsdata_obs.Metrics
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -239,6 +241,135 @@ let test_stream_truncated_body () =
           check Alcotest.int "peer closing mid-stream is a 400" 400 e.Http.status)
   | _ -> Alcotest.fail "expected a streamed body"
 
+(* ----- Expect: 100-continue ----- *)
+
+let interim = "HTTP/1.1 100 Continue\r\n\r\n"
+
+(* A socketpair stands in for the connection: the reader parses the
+   server end and whatever it writes back arrives on the client end,
+   which [written] drains without blocking. The client writes the whole
+   request up front, but with [clamp] the reader's first read stops at
+   the end of the head, so the body is still on the wire when the head
+   is parsed, as it is while a client waits for the interim. *)
+let with_wire ?(clamp = true) ~head ~rest f =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client;
+      Unix.close server)
+  @@ fun () ->
+  let fault = Fault_net.create () in
+  if clamp then Fault_net.set_max_read fault (String.length head);
+  Fault_net.write_all None client (head ^ rest);
+  Unix.set_nonblock client;
+  let written () =
+    let buf = Buffer.create 64 and b = Bytes.create 256 in
+    let rec go () =
+      match Unix.read client b 0 (Bytes.length b) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes buf b 0 n;
+          go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  f (Http.reader_of_fd ~fault server) written
+
+let with_metrics f =
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
+
+let continue_sent () = Metrics.value (Metrics.counter "serve.continue_sent")
+
+let expect_head ?(version = "HTTP/1.1") ?(expect = Some "100-Continue") n =
+  Printf.sprintf "POST /infer %s\r\n%scontent-length: %d\r\n\r\n" version
+    (match expect with Some e -> "expect: " ^ e ^ "\r\n" | None -> "")
+    n
+
+let test_continue_after_admission () =
+  with_metrics @@ fun () ->
+  let before = continue_sent () in
+  with_wire ~head:(expect_head 5) ~rest:"helloGET /healthz HTTP/1.1\r\n\r\n"
+  @@ fun r written ->
+  let at_reserve = ref "unset" in
+  let reserve _ =
+    at_reserve := written ();
+    true
+  in
+  (match Http.read_request_stream ~reserve r with
+  | Ok (Some (req, None)) ->
+      check Alcotest.string "the body follows the interim" "hello" req.Http.body
+  | _ -> Alcotest.fail "expected a buffered request");
+  check Alcotest.string "nothing written before admission" "" !at_reserve;
+  check Alcotest.string "one interim, before the body" interim (written ());
+  (match Http.read_request_stream ~reserve r with
+  | Ok (Some (req, None)) ->
+      check Alcotest.string "pipelined request parses" "/healthz" req.Http.path
+  | _ -> Alcotest.fail "expected the pipelined request");
+  check Alcotest.string "no interim for a bodiless request" "" (written ());
+  check Alcotest.int "counted once" (before + 1) (continue_sent ())
+
+let test_continue_streamed () =
+  with_wire ~head:(expect_head 10) ~rest:"0123456789" @@ fun r written ->
+  match Http.read_request_stream ~stream_over:4 r with
+  | Ok (Some (_, Some rest)) ->
+      check Alcotest.string "owed, not yet written" "" (written ());
+      let all = Http.read_body_all rest in
+      check Alcotest.string "body intact" "0123456789" all;
+      check Alcotest.string "written on the first body refill, once" interim
+        (written ())
+  | _ -> Alcotest.fail "expected a streamed request"
+
+let test_no_continue () =
+  let case ?clamp ?(limits = Http.default_limits) ?(reserve = fun _ -> true)
+      name head rest want =
+    with_wire ?clamp ~head ~rest @@ fun r written ->
+    let got =
+      match Http.read_request_stream ~limits ~reserve r with
+      | Ok (Some (req, None)) -> req.Http.body
+      | Ok _ -> "unexpected streamed or empty result"
+      | Error e -> string_of_int e.Http.status
+    in
+    check Alcotest.string (name ^ ": outcome") want got;
+    check Alcotest.string (name ^ ": no interim") "" (written ())
+  in
+  case "413"
+    ~limits:{ Http.default_limits with Http.max_body = 4 }
+    (expect_head 5) "hello" "413";
+  case "503" ~reserve:(fun _ -> false) (expect_head 5) "hello" "503";
+  case "417" (expect_head ~expect:(Some "100-continue, x-later") 5) "hello" "417";
+  case "HTTP/1.0 ignores Expect" (expect_head ~version:"HTTP/1.0" 5) "hello" "hello";
+  case "HTTP/1.0 ignores even unknown expectations"
+    (expect_head ~version:"HTTP/1.0" ~expect:(Some "x-later") 5) "hello" "hello";
+  case "no Expect" (expect_head ~expect:None 5) "hello" "hello";
+  case "Content-Length 0" (expect_head 0) "" "";
+  case "body already buffered" ~clamp:false (expect_head 5) "hello" "hello"
+
+(* Reading a buffered body costs allocation linear in its size: the
+   reader once re-concatenated its whole buffer on every 8 KiB refill,
+   19.5x the body at 256 KiB. *)
+let test_buffered_body_linear () =
+  let n = 256 * 1024 in
+  let path = Filename.temp_file "fsdata_http" ".req" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (expect_head ~expect:None n);
+      output_string oc (String.make n 'x'));
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let r = Http.reader_of_fd fd in
+  let before = Gc.allocated_bytes () in
+  let len =
+    match Http.read_request_stream r with
+    | Ok (Some (req, None)) -> String.length req.Http.body
+    | _ -> Alcotest.fail "expected a buffered request"
+  in
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  check Alcotest.int "whole body" n len;
+  if ratio > 4. then Alcotest.failf "allocated %.1fx the body" ratio
+
 let test_end_of_stream () =
   (match parse "" with
   | Ok None -> ()
@@ -284,6 +415,13 @@ let suite =
     tc "small bodies stay buffered" `Quick test_stream_small_body_buffered;
     tc "reserve hook gates admission" `Quick test_stream_reserve_admission;
     tc "truncated streamed body" `Quick test_stream_truncated_body;
+    tc "100-continue: one interim, after admission" `Quick
+      test_continue_after_admission;
+    tc "100-continue: streamed body pulls the interim" `Quick
+      test_continue_streamed;
+    tc "100-continue: never sent when not owed" `Quick test_no_continue;
+    tc "buffered body read allocates linearly" `Quick
+      test_buffered_body_linear;
     tc "clean end of stream" `Quick test_end_of_stream;
     tc "response serialization" `Quick test_response_serialization;
   ]

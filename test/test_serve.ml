@@ -403,6 +403,66 @@ let test_streamed_other_endpoint_drained () =
   check Alcotest.int "/check drains a streamed body" 200 resp.Http.status;
   check Alcotest.bool "and judges the document" true (field_bool "has_shape" resp)
 
+(* ----- Expect: 100-continue over one connection ----- *)
+
+(* One connection through Server.serve_connection on a socketpair, no
+   listener and no worker domain: the client writes [wire] and shuts
+   its sending side, so the connection ends at EOF, and the transcript
+   is everything the server wrote before closing its end. A server that
+   waited for a body never sent would answer 408 after the short
+   timeout instead of hanging the test. *)
+let transcript ?(cfg = Server.default_config) wire =
+  let client, server_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close client) @@ fun () ->
+  Fsdata_serve.Fault_net.write_all None client wire;
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  Server.serve_connection
+    (Server.create { cfg with Server.timeout_ms = 2_000 })
+    server_fd;
+  In_channel.input_all (Unix.in_channel_of_descr client)
+
+let status_lines wire =
+  String.split_on_char '\n' wire
+  |> List.filter (String.starts_with ~prefix:"HTTP/1.1 ")
+  |> List.map String.trim
+
+let test_expect_refused_before_body () =
+  (* the head declares 1 MiB (over the stream threshold) that the
+     client never sends, as curl does while it waits *)
+  let refused ?(meth = "POST") ?(headers = "") target want =
+    let wire =
+      Printf.sprintf
+        "%s %s HTTP/1.1\r\nexpect: 100-continue\r\n%scontent-length: %d\r\n\r\n"
+        meth target headers (1 lsl 20)
+    in
+    let out = transcript wire in
+    check (Alcotest.list Alcotest.string) (target ^ ": final status only")
+      [ want ] (status_lines out);
+    check Alcotest.bool (target ^ ": closes, the body is unread") true
+      (Astring.String.is_infix ~affix:"connection: close" out)
+  in
+  refused "/nope" "HTTP/1.1 404 Not Found";
+  refused ~meth:"PUT" "/infer" "HTTP/1.1 405 Method Not Allowed";
+  refused "/infer?jobs=bad" "HTTP/1.1 400 Bad Request";
+  refused ~headers:"x-fsdata-deadline-ms: soon\r\n" "/infer"
+    "HTTP/1.1 400 Bad Request"
+
+let test_expect_streamed_infer () =
+  (* reads clamped to the head keep the body on the wire until the
+     handler pulls it, as if the client had waited for the interim *)
+  let head =
+    Printf.sprintf "POST /infer HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: %d\r\n\r\n"
+      (String.length corpus)
+  in
+  let fault = Fsdata_serve.Fault_net.create () in
+  Fsdata_serve.Fault_net.set_max_read fault (String.length head);
+  let cfg =
+    { Server.default_config with Server.stream_threshold = 8; fault = Some fault }
+  in
+  check (Alcotest.list Alcotest.string) "interim, then the answer"
+    [ "HTTP/1.1 100 Continue"; "HTTP/1.1 200 OK" ]
+    (status_lines (transcript ~cfg (head ^ corpus)))
+
 (* ----- the live shape registry endpoints ----- *)
 
 (* ----- /query and /streams/:name/query ----- *)
@@ -700,6 +760,10 @@ let suite =
       test_streamed_infer_bypasses_cache;
     tc "streamed csv drains and caches" `Quick
       test_streamed_csv_drained_and_cached;
+    tc "Expect: refused before the body, no interim" `Quick
+      test_expect_refused_before_body;
+    tc "Expect: streamed /infer answers 100 then 200" `Quick
+      test_expect_streamed_infer;
     tc "streamed body drained for /check" `Quick
       test_streamed_other_endpoint_drained;
     tc "query: typed pushdown endpoint" `Quick test_query_endpoint;
