@@ -760,10 +760,6 @@ let suite =
       test_streamed_infer_bypasses_cache;
     tc "streamed csv drains and caches" `Quick
       test_streamed_csv_drained_and_cached;
-    tc "Expect: refused before the body, no interim" `Quick
-      test_expect_refused_before_body;
-    tc "Expect: streamed /infer answers 100 then 200" `Quick
-      test_expect_streamed_infer;
     tc "streamed body drained for /check" `Quick
       test_streamed_other_endpoint_drained;
     tc "query: typed pushdown endpoint" `Quick test_query_endpoint;
@@ -778,4 +774,8 @@ let suite =
     tc "cache invalidate endpoint" `Quick test_cache_invalidate_endpoint;
     tc "concurrent infer responses byte-identical" `Quick
       test_concurrent_infer_identical;
+    tc "Expect: refused before the body, no interim" `Quick
+      test_expect_refused_before_body;
+    tc "Expect: streamed /infer answers 100 then 200" `Quick
+      test_expect_streamed_infer;
   ]
